@@ -28,7 +28,6 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -50,13 +49,8 @@ using namespace lvpsim;
 namespace
 {
 
-using Clock = std::chrono::steady_clock;
-
-double
-secondsSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
+using Clock = sim::WallClock;
+using sim::secondsSince;
 
 struct WorkloadMeasurement
 {
@@ -164,8 +158,7 @@ main(int argc, char **argv)
     pool.parallelFor(workloads.size(), [&](std::size_t i) {
         const auto t0 = Clock::now();
         auto ops = sim::TraceCache::instance().get(
-            workloads[i], rc.maxInstrs + rc.warmupInstrs,
-            rc.traceSeed);
+            workloads[i], sim::traceLength(rc), rc.traceSeed);
         rows[i].workload = workloads[i];
         rows[i].genSeconds = secondsSince(t0);
         (void)ops;
@@ -184,8 +177,7 @@ main(int argc, char **argv)
         const auto t0 = Clock::now();
         pool.parallelFor(workloads.size(), [&](std::size_t i) {
             auto ops = sim::TraceCache::instance().get(
-                workloads[i], rc.maxInstrs + rc.warmupInstrs,
-                rc.traceSeed);
+                workloads[i], sim::traceLength(rc), rc.traceSeed);
             const auto w0 = Clock::now();
             const auto base = sim::runTrace(*ops, nullptr, rc);
             vp::CompositePredictor pred(vp_cfg);

@@ -39,7 +39,6 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -63,13 +62,8 @@ using namespace lvpsim;
 namespace
 {
 
-using Clock = std::chrono::steady_clock;
-
-double
-secondsSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
+using Clock = sim::WallClock;
+using sim::secondsSince;
 
 /** Every raw counter as (name, value), in declaration order. */
 std::vector<std::pair<std::string, std::uint64_t>>

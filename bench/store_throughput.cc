@@ -47,7 +47,6 @@
  * Run scaling: LVPSIM_INSTRS (default 20000), LVPSIM_SUITE.
  */
 
-#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
@@ -73,13 +72,8 @@ using namespace lvpsim;
 namespace
 {
 
-using Clock = std::chrono::steady_clock;
-
-double
-secondsSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
+using Clock = sim::WallClock;
+using sim::secondsSince;
 
 /** Every raw counter as (name, value), in declaration order. */
 std::vector<std::pair<std::string, std::uint64_t>>
@@ -298,8 +292,7 @@ main(int argc, char **argv)
     sim::ParallelExecutor pool(jobs);
     pool.parallelFor(W, [&](std::size_t i) {
         sim::TraceCache::instance().get(
-            workloads[i], rc.maxInstrs + rc.warmupInstrs,
-            rc.traceSeed);
+            workloads[i], sim::traceLength(rc), rc.traceSeed);
     });
 
     auto &store = sim::CheckpointStore::instance();

@@ -103,15 +103,6 @@ makeDirs(const std::string &path)
 }
 
 std::int64_t
-fileSize(const std::string &path)
-{
-    struct stat st;
-    if (stat(path.c_str(), &st) != 0 || !S_ISREG(st.st_mode))
-        return -1;
-    return static_cast<std::int64_t>(st.st_size);
-}
-
-std::int64_t
 fileMtime(const std::string &path)
 {
     struct stat st;

@@ -86,9 +86,6 @@ bool atomicWriteFile(const std::string &path, const void *data,
 /** mkdir -p. True when the directory exists on return. */
 bool makeDirs(const std::string &path);
 
-/** Size of @p path in bytes, or -1 when it does not exist. */
-std::int64_t fileSize(const std::string &path);
-
 /** Seconds component of @p path's mtime, or -1 when missing. */
 std::int64_t fileMtime(const std::string &path);
 

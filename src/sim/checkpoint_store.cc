@@ -287,12 +287,16 @@ CheckpointStore::fetchOrBuild(
     const auto t0 = IoClock::now();
     const std::uint64_t timeoutMs = claimTimeoutMs();
 
+    // Held until this function returns, so concurrent processes wait
+    // for the entry instead of building it too; unwinding from a
+    // throwing build releases it as well.
+    ClaimFile claim;
     while (true) {
         if (tryLoadAt(path, key, decode)) {
             nHits.fetch_add(1, std::memory_order_relaxed);
             return;
         }
-        ClaimFile claim = ClaimFile::tryAcquire(claimPath);
+        claim = ClaimFile::tryAcquire(claimPath);
         if (claim.owned()) {
             // Double-check: the previous owner may have published
             // between our failed load and the claim acquisition.

@@ -1,12 +1,10 @@
 #include "sim/experiment.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 
 #include "common/mathutils.hh"
 #include "pipeline/snapshot_io.hh"
-#include "sim/checkpoint_store.hh"
 #include "sim/parallel_executor.hh"
 #include "sim/sampled.hh"
 
@@ -14,21 +12,6 @@ namespace lvpsim
 {
 namespace sim
 {
-
-namespace
-{
-
-// lvplint: allow(determinism) -- feeds only the *_seconds timing
-// fields, which check_determinism.sh strips before diffing
-using Clock = std::chrono::steady_clock;
-
-double
-secondsSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-} // anonymous namespace
 
 namespace
 {
@@ -101,85 +84,34 @@ BaselineCache::instance()
 BaselineCache::EntryPtr
 BaselineCache::get(const std::string &workload, const RunConfig &rc)
 {
-    // Same discipline as CheckpointCache: the trace identity (not
-    // the raw spec string) joins the key, so file-backed traces key
-    // on content.
-    const std::string key =
-        runConfigKey(rc) + "#" +
-        TraceCache::instance()
-            .info(workload, rc.maxInstrs + rc.warmupInstrs,
-                  rc.traceSeed)
-            .identity;
-
-    std::shared_ptr<Slot> slot;
-    {
-        ReaderLock rd(mapMx);
-        auto it = cache.find(key);
-        if (it != cache.end())
-            slot = it->second;
-    }
-    if (!slot) {
-        WriterLock wr(mapMx);
-        // Re-check: another worker may have inserted meanwhile.
-        auto [it, inserted] =
-            cache.try_emplace(key, std::make_shared<Slot>());
-        slot = it->second;
-        (void)inserted;
-    }
-
-    // Exactly one caller simulates the baseline; concurrent callers
-    // for the same key block here until the entry is ready.
-    std::call_once(slot->once, [&] {
-        auto e = std::make_shared<Entry>();
-        const auto buildInline = [&] {
+    return cache.get(
+        runKey(workload, rc),
+        [&](Entry &e) {
             // Build the warmup checkpoint first so `seconds` measures
             // only the baseline's measurement region (the build cost
             // is reported separately as checkpointSeconds).
             if (rc.warmupInstrs)
-                e->checkpointSeconds =
+                e.checkpointSeconds =
                     CheckpointCache::instance().get(workload, rc)
                         ->buildSeconds;
-            const auto t0 = Clock::now();
+            const auto t0 = WallClock::now();
             pipe::NullPredictor none;
-            e->stats = runWorkload(workload, &none, rc);
-            e->seconds = secondsSince(t0);
-            generated.fetch_add(1, std::memory_order_relaxed);
-        };
-        auto &store = CheckpointStore::instance();
-        if (store.enabled()) {
-            // L2: baseline counters persist across processes. The
-            // timing fields ride along so warm runs can still report
-            // a meaningful serial-seconds estimate for the build.
-            store.fetchOrBuild(
-                "base:" + key,
-                [&](BinReader &r) {
-                    if (r.u32() != pipe::kSnapshotFormatVersion)
-                        return false;
-                    pipe::deserializeSnapshot(r, e->stats);
-                    e->seconds = r.f64();
-                    e->checkpointSeconds = r.f64();
-                    return r.ok() && r.atEnd();
-                },
-                [&](BinWriter &w) {
-                    buildInline();
-                    w.u32(pipe::kSnapshotFormatVersion);
-                    pipe::serializeSnapshot(w, e->stats);
-                    w.f64(e->seconds);
-                    w.f64(e->checkpointSeconds);
-                });
-        } else {
-            buildInline();
-        }
-        slot->entry = std::move(e);
-    });
-    return slot->entry;
-}
-
-void
-BaselineCache::clear()
-{
-    WriterLock wr(mapMx);
-    cache.clear();
+            e.stats = runWorkload(workload, &none, rc);
+            e.seconds = secondsSince(t0);
+        },
+        // The timing fields ride along in the store payload so warm
+        // runs can still report a meaningful serial-seconds estimate.
+        [](BinWriter &w, const Entry &e) {
+            pipe::serializeSnapshot(w, e.stats);
+            w.f64(e.seconds);
+            w.f64(e.checkpointSeconds);
+        },
+        [](BinReader &r, Entry &e) {
+            pipe::deserializeSnapshot(r, e.stats);
+            e.seconds = r.f64();
+            e.checkpointSeconds = r.f64();
+            return true;
+        });
 }
 
 const pipe::SimStats &
@@ -194,9 +126,9 @@ SuiteRunner::baseline(const std::string &workload)
 void
 SuiteRunner::ensureBaselines()
 {
-    // BaselineCache's per-key once_flag already dedupes concurrent
-    // same-key builders, so the fan-out can simply request every
-    // workload; hits return immediately.
+    // BaselineCache already dedupes concurrent same-key builders, so
+    // the fan-out can simply request every workload; hits return
+    // immediately.
     if (jobCount <= 1 || workloadNames.size() <= 1) {
         for (const auto &w : workloadNames)
             BaselineCache::instance().get(w, rc);
@@ -218,7 +150,7 @@ SuiteResult
 SuiteRunner::run(const std::string &label,
                  const PredictorFactory &make_vp)
 {
-    const auto wall0 = Clock::now();
+    const auto wall0 = WallClock::now();
 
     SuiteResult out;
     out.label = label;
@@ -230,14 +162,14 @@ SuiteRunner::run(const std::string &label,
         WorkloadResult &r = out.rows[i];
         r.workload = workloadNames[i];
         const auto tinfo = TraceCache::instance().info(
-            r.workload, rc.maxInstrs + rc.warmupInstrs, rc.traceSeed);
+            r.workload, traceLength(rc), rc.traceSeed);
         r.traceFormat = tinfo.format;
         r.traceInstructions = tinfo.trace->size();
         const auto base = BaselineCache::instance().get(r.workload, rc);
         r.base = base->stats;
         r.baseSeconds = base->seconds;
         r.checkpointSeconds = base->checkpointSeconds;
-        const auto t0 = Clock::now();
+        const auto t0 = WallClock::now();
         auto vp = make_vp();
         if (rc.sampleK > 0) {
             // Sampled row: go through the sampled driver directly so

@@ -14,17 +14,14 @@
 
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/sync.hh"
 #include "core/lvp_interface.hh"
 #include "pipeline/sim_stats.hh"
+#include "sim/once_cache.hh"
 #include "sim/simulator.hh"
 
 namespace lvpsim
@@ -94,12 +91,10 @@ using PredictorFactory =
 
 /**
  * Process-wide, thread-safe memo of no-VP baseline runs, keyed by
- * runConfigKey() + the trace identity (TraceCache::Info::identity),
- * so a multi-suite binary (e.g. the fig
- * benches) simulates each baseline exactly once no matter how many
- * SuiteRunners it creates. Same slot discipline as TraceCache /
- * CheckpointCache: one builder per key under a `std::once_flag`,
- * concurrent same-key callers block, other keys proceed.
+ * runKey(): a store-backed OnceCache (sim/once_cache.hh, store kind
+ * "base:"), so a multi-suite binary (e.g. the fig benches) simulates
+ * each baseline exactly once no matter how many SuiteRunners it
+ * creates.
  */
 class BaselineCache
 {
@@ -118,34 +113,19 @@ class BaselineCache
 
     /** Run (once) or fetch the no-VP baseline for this key. The
      *  returned entry stays valid until clear(). */
-    EntryPtr get(const std::string &workload, const RunConfig &rc)
-        EXCLUDES(mapMx);
+    EntryPtr get(const std::string &workload, const RunConfig &rc);
 
     /** Number of baselines actually simulated (not cache hits). */
-    std::uint64_t generations() const
-    {
-        return generated.load(std::memory_order_relaxed);
-    }
+    std::uint64_t generations() const { return cache.generations(); }
 
     /** Drop every cached baseline (test hook; not used by benches). */
-    void clear() EXCLUDES(mapMx);
+    void clear() { cache.clear(); }
 
     /** The process-wide cache used by SuiteRunner. */
     static BaselineCache &instance();
 
   private:
-    struct Slot
-    {
-        std::once_flag once;
-        EntryPtr entry;
-    };
-
-    mutable SharedMutex mapMx;
-    // lvplint: allow(determinism) -- keyed lookup cache, never
-    // iterated; entries are deterministic simulation results
-    std::unordered_map<std::string, std::shared_ptr<Slot>> cache
-        GUARDED_BY(mapMx);
-    std::atomic<std::uint64_t> generated{0};
+    OnceCache<Entry> cache{"base:"};
 };
 
 class SuiteRunner
@@ -171,12 +151,6 @@ class SuiteRunner
     {
         observer = std::move(fn);
     }
-
-    const std::vector<std::string> &workloads() const
-    {
-        return workloadNames;
-    }
-    const RunConfig &runConfig() const { return rc; }
 
     /** The memoized no-VP baseline for one workload (computed on
      *  first use, process-wide via BaselineCache). */

@@ -7,12 +7,18 @@
  *   LVPSIM_WARMUP=<n>       warmup instructions before measurement
  *                           (VP disabled; see RunConfig.warmupInstrs)
  *   LVPSIM_SUITE=smoke|full which workload list the benches sweep
+ *
+ * A count that is not a plain decimal number exits with status 2.
  */
 
 #pragma once
 
+#include <charconv>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/workloads.hh"
@@ -22,25 +28,46 @@ namespace lvpsim
 namespace sim
 {
 
+/**
+ * Parse a count given by a flag or environment variable @p what: a
+ * non-empty string of decimal digits that fits in 64 bits. Anything
+ * else (a sign, whitespace, junk, overflow) prints a message naming
+ * @p what and exits with status 2.
+ */
+inline std::uint64_t
+parseCountOrExit(const char *what, std::string_view text)
+{
+    std::uint64_t n = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, n, 10);
+    if (ec != std::errc{} || ptr != end) {
+        std::fprintf(stderr,
+                     "bad %s value '%.*s' (want a non-negative "
+                     "decimal count)\n",
+                     what, int(text.size()), text.data());
+        std::exit(2);
+    }
+    return n;
+}
+
+/** LVPSIM_INSTRS, or @p fallback when it is unset or 0. */
 inline std::size_t
 instrsFromEnv(std::size_t fallback = 400000)
 {
     if (const char *s = std::getenv("LVPSIM_INSTRS")) {
-        const long long v = std::atoll(s);
+        const std::uint64_t v = parseCountOrExit("LVPSIM_INSTRS", s);
         if (v > 0)
             return std::size_t(v);
     }
     return fallback;
 }
 
+/** LVPSIM_WARMUP, or @p fallback when it is unset. */
 inline std::size_t
 warmupFromEnv(std::size_t fallback = 0)
 {
-    if (const char *s = std::getenv("LVPSIM_WARMUP")) {
-        const long long v = std::atoll(s);
-        if (v >= 0)
-            return std::size_t(v);
-    }
+    if (const char *s = std::getenv("LVPSIM_WARMUP"))
+        return std::size_t(parseCountOrExit("LVPSIM_WARMUP", s));
     return fallback;
 }
 

@@ -7,8 +7,6 @@
 #include "common/binio.hh"
 #include "common/logging.hh"
 #include "core/lvp_interface.hh"
-#include "pipeline/snapshot_io.hh"
-#include "sim/checkpoint_store.hh"
 #include "trace/instruction.hh"
 #include "trace/interval_profile.hh"
 
@@ -106,10 +104,10 @@ functionalVpTrain(const std::vector<trace::MicroOp> &ops,
         vp.onRetire(retired);
 }
 
+/** Store payload for one SamplePlan (after the version word). */
 void
 encodePlan(BinWriter &w, const SamplePlan &plan)
 {
-    w.u32(pipe::kSnapshotFormatVersion);
     w.u64(plan.intervalLen);
     w.u64(plan.totalInstructions);
     w.u64(plan.reps.size());
@@ -126,8 +124,6 @@ encodePlan(BinWriter &w, const SamplePlan &plan)
 bool
 decodePlan(BinReader &r, SamplePlan &plan)
 {
-    if (r.u32() != pipe::kSnapshotFormatVersion)
-        return false;
     plan.intervalLen = r.u64();
     plan.totalInstructions = r.u64();
     const std::size_t nReps = r.count(16);
@@ -143,7 +139,7 @@ decodePlan(BinReader &r, SamplePlan &plan)
         a = r.u32();
     // Structural cross-checks mirror what buildSamplePlan guarantees;
     // a violation means a foreign/corrupt payload, so force a miss.
-    if (!r.ok() || !r.atEnd() || plan.intervalLen == 0)
+    if (plan.intervalLen == 0)
         return false;
     for (std::uint32_t a : plan.assignment)
         if (a >= plan.reps.size())
@@ -167,61 +163,22 @@ PlanCache::get(const std::string &workload, const RunConfig &rc)
     lvp_assert(rc.sampleIntervalLen > 0,
                "sample interval length must be positive");
     // Key on the trace identity (content hash for file-backed
-    // traces) plus everything that shapes the plan.
+    // traces) plus everything that shapes the plan. Profiling and
+    // clustering is a full trace pass, so the plan is store-backed.
     const auto info = TraceCache::instance().info(
-        workload, rc.maxInstrs + rc.warmupInstrs, rc.traceSeed);
+        workload, traceLength(rc), rc.traceSeed);
     const std::string key =
         info.identity + "#L" + std::to_string(rc.sampleIntervalLen) +
         "#k" + std::to_string(rc.sampleK) + "#s" +
         std::to_string(rc.traceSeed);
-
-    std::shared_ptr<Slot> slot;
-    {
-        ReaderLock rd(mapMx);
-        auto it = cache.find(key);
-        if (it != cache.end())
-            slot = it->second;
-    }
-    if (!slot) {
-        WriterLock wr(mapMx);
-        auto [it, inserted] =
-            cache.try_emplace(key, std::make_shared<Slot>());
-        slot = it->second;
-        (void)inserted;
-    }
-
-    std::call_once(slot->once, [&] {
-        auto plan = std::make_shared<SamplePlan>();
-        const auto buildInline = [&] {
-            const trace::IntervalProfile profile =
-                trace::profileTrace(*info.trace, rc.sampleIntervalLen);
-            *plan = buildSamplePlan(profile, rc.sampleK, rc.traceSeed);
-            generated.fetch_add(1, std::memory_order_relaxed);
-        };
-        auto &store = CheckpointStore::instance();
-        if (store.enabled()) {
-            // L2: profiling + clustering is a full trace pass, so
-            // persist the finished plan across processes.
-            store.fetchOrBuild(
-                "plan:" + key,
-                [&](BinReader &r) { return decodePlan(r, *plan); },
-                [&](BinWriter &w) {
-                    buildInline();
-                    encodePlan(w, *plan);
-                });
-        } else {
-            buildInline();
-        }
-        slot->plan = std::move(plan);
-    });
-    return slot->plan;
-}
-
-void
-PlanCache::clear()
-{
-    WriterLock wr(mapMx);
-    cache.clear();
+    return cache.get(
+        key,
+        [&](SamplePlan &plan) {
+            plan = buildSamplePlan(
+                trace::profileTrace(*info.trace, rc.sampleIntervalLen),
+                rc.sampleK, rc.traceSeed);
+        },
+        encodePlan, decodePlan);
 }
 
 SampledRunResult
@@ -234,7 +191,7 @@ runSampledWorkload(const std::string &workload,
                "sampled runs replace warmupInstrs with functional "
                "fast-forward; use one or the other");
 
-    auto ops = TraceCache::instance().get(workload, rc.maxInstrs,
+    auto ops = TraceCache::instance().get(workload, traceLength(rc),
                                           rc.traceSeed);
     auto plan = PlanCache::instance().get(workload, rc);
 

@@ -18,13 +18,6 @@ namespace lvpsim
 namespace sim
 {
 
-namespace
-{
-
-// lvplint: allow(determinism) -- feeds only the reporting-only
-// SimCheckpoint::buildSeconds field, stripped by determinism diffs
-using WallClock = std::chrono::steady_clock;
-
 double
 secondsSince(WallClock::time_point t0)
 {
@@ -32,29 +25,30 @@ secondsSince(WallClock::time_point t0)
         .count();
 }
 
+namespace
+{
+
 // Progress reporting is process-wide opt-in state (CLI --progress):
 // reads/writes are relaxed because the value only gates stderr lines,
 // never simulation behavior.
 std::atomic<std::uint64_t> progressEvery{0};
 Mutex progressPrintMx;
 
-/** On-disk payload for one SimCheckpoint (CheckpointStore entry). */
+/** Store payload for one SimCheckpoint (after the version word). */
 void
 encodeCheckpoint(BinWriter &w, const SimCheckpoint &ck)
 {
-    w.u32(pipe::kSnapshotFormatVersion);
     pipe::serializeSnapshot(w, ck.core);
     w.u64(ck.warmupInstrs);
 }
 
+/** Decode, rejecting a checkpoint of any other warmup length. */
 bool
-decodeCheckpoint(BinReader &r, SimCheckpoint &ck)
+decodeCheckpoint(BinReader &r, SimCheckpoint &ck, std::uint64_t warmup)
 {
-    if (r.u32() != pipe::kSnapshotFormatVersion)
-        return false;
     pipe::deserializeSnapshot(r, ck.core);
     ck.warmupInstrs = r.u64();
-    return r.ok() && r.atEnd();
+    return ck.warmupInstrs == warmup;
 }
 
 std::string
@@ -182,93 +176,70 @@ TraceCache::instance()
     return c;
 }
 
-std::shared_ptr<TraceCache::Slot>
-TraceCache::ensure(const std::string &workload, std::size_t max_ops,
+OnceCache<TraceCache::Info>::Ptr
+TraceCache::lookup(const std::string &workload, std::size_t max_ops,
                    std::uint64_t seed)
 {
     const std::string key = workload + "#" +
                             std::to_string(max_ops) + "#" +
                             std::to_string(seed);
-
-    std::shared_ptr<Slot> slot;
-    {
-        ReaderLock rd(mapMx);
-        auto it = cache.find(key);
-        if (it != cache.end())
-            slot = it->second;
-    }
-    if (!slot) {
-        WriterLock wr(mapMx);
-        // Re-check: another worker may have inserted meanwhile.
-        auto [it, inserted] =
-            cache.try_emplace(key, std::make_shared<Slot>());
-        slot = it->second;
-        (void)inserted;
-    }
-
-    // Exactly one caller generates (or loads); concurrent callers
-    // for the same key block here until the trace is ready.
-    // call_once publishes slot->trace to every waiter.
-    std::call_once(slot->once, [&] {
+    return cache.get(key, [&](Info &info) {
         const trace::TraceSpec spec = trace::parseTraceSpec(workload);
         if (spec.kind == trace::TraceKind::Synthetic) {
             // Identical to the historical path: generateWorkload
             // output, bit for bit, and an identity that needs no
             // file hashing.
-            slot->trace =
+            info.trace =
                 std::make_shared<const std::vector<trace::MicroOp>>(
                     trace::generateWorkload(spec.name, max_ops,
                                             seed));
             // Canonicalized so equivalent kernel-spec spellings
             // share TraceCache / checkpoint-cache entries.
-            slot->identity = "synth:" +
-                             trace::canonicalSyntheticName(spec.name) +
-                             "#" + std::to_string(max_ops) + "#" +
-                             std::to_string(seed);
-            slot->format = "synthetic";
-        } else {
-            std::string err;
-            auto src =
-                trace::openTraceSource(spec, max_ops, seed, &err);
-            if (!src) {
-                lvp_fatal("cannot open trace '%s': %s",
-                          spec.name.c_str(), err.c_str());
-            }
-            // File traces are truncated to the run's instruction
-            // budget; the cap is part of the identity because it
-            // changes the delivered stream.
-            slot->trace =
-                std::make_shared<const std::vector<trace::MicroOp>>(
-                    trace::materialize(*src, max_ops));
-            slot->identity =
-                src->identity() + "#cap" + std::to_string(max_ops);
-            slot->format = src->format();
+            info.identity = "synth:" +
+                            trace::canonicalSyntheticName(spec.name) +
+                            "#" + std::to_string(max_ops) + "#" +
+                            std::to_string(seed);
+            info.format = "synthetic";
+            return;
         }
-        generated.fetch_add(1, std::memory_order_relaxed);
+        std::string err;
+        auto src = trace::openTraceSource(spec, max_ops, seed, &err);
+        if (!src) {
+            lvp_fatal("cannot open trace '%s': %s", spec.name.c_str(),
+                      err.c_str());
+        }
+        // File traces are truncated to the run's instruction budget;
+        // the cap is part of the identity because it changes the
+        // delivered stream.
+        info.trace = std::make_shared<const std::vector<trace::MicroOp>>(
+            trace::materialize(*src, max_ops));
+        info.identity =
+            src->identity() + "#cap" + std::to_string(max_ops);
+        info.format = src->format();
     });
-    return slot;
 }
 
 TraceCache::TracePtr
 TraceCache::get(const std::string &workload, std::size_t max_ops,
                 std::uint64_t seed)
 {
-    return ensure(workload, max_ops, seed)->trace;
+    return lookup(workload, max_ops, seed)->trace;
 }
 
 TraceCache::Info
 TraceCache::info(const std::string &workload, std::size_t max_ops,
                  std::uint64_t seed)
 {
-    auto slot = ensure(workload, max_ops, seed);
-    return Info{slot->trace, slot->identity, slot->format};
+    return *lookup(workload, max_ops, seed);
 }
 
-void
-TraceCache::clear()
+std::string
+runKey(const std::string &workload, const RunConfig &rc)
 {
-    WriterLock wr(mapMx);
-    cache.clear();
+    return runConfigKey(rc) + "#" +
+           TraceCache::instance()
+               .info(workload, traceLength(rc), rc.traceSeed)
+               .identity;
 }
 
 CheckpointCache &
@@ -278,111 +249,29 @@ CheckpointCache::instance()
     return c;
 }
 
-std::shared_ptr<CheckpointCache::Slot>
-CheckpointCache::ensure(const std::string &key)
-{
-    std::shared_ptr<Slot> slot;
-    {
-        ReaderLock rd(mapMx);
-        auto it = cache.find(key);
-        if (it != cache.end())
-            slot = it->second;
-    }
-    if (!slot) {
-        WriterLock wr(mapMx);
-        // Re-check: another worker may have inserted meanwhile.
-        auto [it, inserted] =
-            cache.try_emplace(key, std::make_shared<Slot>());
-        slot = it->second;
-        (void)inserted;
-    }
-    return slot;
-}
-
 CheckpointCache::CheckpointPtr
 CheckpointCache::get(const std::string &workload, const RunConfig &rc)
 {
     lvp_assert(rc.warmupInstrs > 0,
                "CheckpointCache::get with zero warmup");
-    // Key on the trace identity, not the raw spec string: for
-    // file-backed traces the identity embeds a content hash, so a
-    // rewritten file can never alias a stale checkpoint.
-    const std::string key =
-        runConfigKey(rc) + "#" +
-        TraceCache::instance()
-            .info(workload, rc.maxInstrs + rc.warmupInstrs,
-                  rc.traceSeed)
-            .identity;
-    auto slot = ensure(key);
-
-    // Exactly one caller in this process resolves the key (L1
-    // once_flag); with the disk store enabled it first consults L2
-    // and only simulates the warmup region on a disk miss, claiming
-    // the key so concurrent *processes* also build it at most once.
-    std::call_once(slot->once, [&] {
-        const auto t0 = WallClock::now();
-        auto ck = std::make_shared<SimCheckpoint>();
-        ck->warmupInstrs = rc.warmupInstrs;
-        const auto buildInline = [&] {
+    const std::string key = runKey(workload, rc);
+    const auto t0 = WallClock::now();
+    return cache.get(
+        key,
+        [&](SimCheckpoint &ck) {
             auto ops = TraceCache::instance().get(
-                workload, rc.maxInstrs + rc.warmupInstrs,
-                rc.traceSeed);
+                workload, traceLength(rc), rc.traceSeed);
             pipe::Core core(rc.core, *ops, nullptr);
             core.warmup(rc.warmupInstrs);
-            core.saveState(ck->core);
-            generated.fetch_add(1, std::memory_order_relaxed);
-        };
-        auto &store = CheckpointStore::instance();
-        if (store.enabled()) {
-            store.fetchOrBuild(
-                "ckpt:" + key,
-                [&](BinReader &r) {
-                    return decodeCheckpoint(r, *ck) &&
-                           ck->warmupInstrs == rc.warmupInstrs;
-                },
-                [&](BinWriter &w) {
-                    buildInline();
-                    encodeCheckpoint(w, *ck);
-                });
-        } else {
-            buildInline();
-        }
-        ck->buildSeconds = secondsSince(t0);
-        slot->ckpt = std::move(ck);
-    });
-    return slot->ckpt;
-}
-
-std::shared_ptr<CheckpointCache::IntervalSlot>
-CheckpointCache::ensureInterval(const std::string &key)
-{
-    {
-        ReaderLock rd(mapMx);
-        auto it = intervalCache.find(key);
-        if (it != intervalCache.end())
-            return it->second;
-    }
-    WriterLock wr(mapMx);
-    auto [it, inserted] =
-        intervalCache.try_emplace(key, std::make_shared<IntervalSlot>());
-    (void)inserted;
-    return it->second;
-}
-
-std::shared_ptr<CheckpointCache::TraceState>
-CheckpointCache::ensureTraceState(const std::string &prefix)
-{
-    {
-        ReaderLock rd(mapMx);
-        auto it = traceStates.find(prefix);
-        if (it != traceStates.end())
-            return it->second;
-    }
-    WriterLock wr(mapMx);
-    auto [it, inserted] =
-        traceStates.try_emplace(prefix, std::make_shared<TraceState>());
-    (void)inserted;
-    return it->second;
+            core.saveState(ck.core);
+            ck.warmupInstrs = rc.warmupInstrs;
+            ck.buildSeconds = secondsSince(t0);
+        },
+        encodeCheckpoint,
+        [&](BinReader &r, SimCheckpoint &ck) {
+            ck.buildSeconds = secondsSince(t0);
+            return decodeCheckpoint(r, ck, rc.warmupInstrs);
+        });
 }
 
 void
@@ -390,22 +279,17 @@ CheckpointCache::publishInterval(TraceState &ts,
                                  const std::string &prefix,
                                  std::uint64_t idx, double buildSeconds)
 {
-    auto slot = ensureInterval(intervalKey(prefix, idx));
+    const std::string key = intervalKey(prefix, idx);
+    auto slot = intervals.ensure(key);
     if (!slot->ready.load(std::memory_order_acquire)) {
         auto ck = std::make_shared<SimCheckpoint>();
         ck->warmupInstrs = idx;
         ts.core->saveState(ck->core);
         ck->buildSeconds = buildSeconds;
-        auto &store = CheckpointStore::instance();
-        if (store.enabled()) {
-            store.publish("ckpt:" + intervalKey(prefix, idx),
-                          [&](BinWriter &w) {
-                              encodeCheckpoint(w, *ck);
-                          });
-        }
+        cache.publish(key, *ck, encodeCheckpoint);
         slot->ckpt = std::move(ck);
         slot->ready.store(true, std::memory_order_release);
-        generated.fetch_add(1, std::memory_order_relaxed);
+        intervalsBuilt.fetch_add(1, std::memory_order_relaxed);
     }
     MutexLock lk(ts.claimMx);
     ts.claims.erase(idx);
@@ -459,21 +343,15 @@ CheckpointCache::getIntervals(const std::string &workload,
                               const RunConfig &rc,
                               const std::vector<std::uint64_t> &indices)
 {
-    const std::string prefix =
-        runConfigKey(rc) + "#" +
-        TraceCache::instance()
-            .info(workload, rc.maxInstrs + rc.warmupInstrs,
-                  rc.traceSeed)
-            .identity;
-    auto state = ensureTraceState(prefix);
+    const std::string prefix = runKey(workload, rc);
+    auto state = traceStates.ensure(prefix);
 
     std::vector<std::shared_ptr<IntervalSlot>> slots;
     slots.reserve(indices.size());
     for (std::size_t i = 0; i < indices.size(); ++i) {
         lvp_assert(i == 0 || indices[i - 1] < indices[i],
                    "interval indices must be ascending and unique");
-        slots.push_back(
-            ensureInterval(intervalKey(prefix, indices[i])));
+        slots.push_back(intervals.ensure(intervalKey(prefix, indices[i])));
     }
 
     // Claim every missing index *before* any building: whichever
@@ -488,7 +366,6 @@ CheckpointCache::getIntervals(const std::string &workload,
         }
     }
 
-    auto &store = CheckpointStore::instance();
     std::vector<CheckpointPtr> out(indices.size());
     CheckpointPtr prev;
     std::uint64_t prevIdx = 0;
@@ -504,21 +381,20 @@ CheckpointCache::getIntervals(const std::string &workload,
             } else {
                 if (!state->ops) {
                     state->ops = TraceCache::instance().get(
-                        workload, rc.maxInstrs + rc.warmupInstrs,
-                        rc.traceSeed);
+                        workload, traceLength(rc), rc.traceSeed);
                 }
                 // L2 first: an exact-index disk hit both serves this
                 // slot and teleports the cursor forward.
                 bool fromDisk = false;
-                if (store.enabled()) {
+                if (CheckpointStore::instance().enabled()) {
                     auto ck = std::make_shared<SimCheckpoint>();
                     const auto t0 = WallClock::now();
-                    if (store.tryLoad(
-                            "ckpt:" + intervalKey(prefix, idx),
-                            [&](BinReader &r) {
-                                return decodeCheckpoint(r, *ck) &&
-                                       ck->warmupInstrs == idx;
-                            })) {
+                    const auto decode = [idx](BinReader &r,
+                                              SimCheckpoint &c) {
+                        return decodeCheckpoint(r, c, idx);
+                    };
+                    if (cache.tryLoad(intervalKey(prefix, idx), *ck,
+                                      decode)) {
                         ck->buildSeconds = secondsSince(t0);
                         if (!state->core) {
                             state->core = std::make_unique<pipe::Core>(
@@ -571,9 +447,8 @@ CheckpointCache::getIntervals(const std::string &workload,
 void
 CheckpointCache::clear()
 {
-    WriterLock wr(mapMx);
     cache.clear();
-    intervalCache.clear();
+    intervals.clear();
     traceStates.clear();
 }
 
@@ -583,8 +458,8 @@ runWorkload(const std::string &workload, pipe::LoadValuePredictor *vp,
 {
     if (rc.sampleK > 0)
         return runSampledWorkload(workload, vp, rc).stats;
-    auto ops = TraceCache::instance().get(
-        workload, rc.maxInstrs + rc.warmupInstrs, rc.traceSeed);
+    auto ops = TraceCache::instance().get(workload, traceLength(rc),
+                                          rc.traceSeed);
     if (rc.warmupInstrs == 0)
         return runTrace(*ops, vp, rc);
     // Restore the memoized post-warmup state instead of re-simulating

@@ -7,12 +7,11 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/sync.hh"
@@ -20,6 +19,7 @@
 #include "pipeline/core.hh"
 #include "pipeline/core_config.hh"
 #include "pipeline/sim_stats.hh"
+#include "sim/once_cache.hh"
 #include "trace/instruction.hh"
 
 namespace lvpsim
@@ -59,9 +59,16 @@ struct RunConfig
  * Deterministic string key covering every RunConfig field (core,
  * memory, branch-predictor and trace parameters included): two runs
  * share a key iff their simulated results must be identical. Used by
- * CheckpointCache and BaselineCache.
+ * runKey().
  */
 std::string runConfigKey(const RunConfig &rc);
+
+// lvplint: allow(determinism) -- times only the reporting-only
+// *_seconds fields, which check_determinism.sh strips before diffing
+using WallClock = std::chrono::steady_clock;
+
+/** Wall-clock seconds elapsed since @p t0. */
+double secondsSince(WallClock::time_point t0);
 
 /**
  * Process-wide progress reporting for long runs (CLI --progress).
@@ -86,6 +93,14 @@ pipe::SimStats runTrace(const std::vector<trace::MicroOp> &ops,
                         pipe::LoadValuePredictor *vp,
                         const RunConfig &rc);
 
+/** Instructions in the trace a run consumes: the measured region
+ *  plus the warmup region. */
+inline std::size_t
+traceLength(const RunConfig &rc)
+{
+    return rc.maxInstrs + rc.warmupInstrs;
+}
+
 /**
  * Generate or load (and cache) a workload's trace.
  *
@@ -96,13 +111,9 @@ pipe::SimStats runTrace(const std::vector<trace::MicroOp> &ops,
  * unreadable file is fatal() — callers wanting a recoverable error
  * should probe with `trace::openTraceSource` first.
  *
- * Thread-safe: any number of workers may call get() concurrently,
- * including for the same (workload, max_ops, seed) key. Each distinct
- * key is generated exactly once — the first caller generates under a
- * per-key `std::once_flag` while later callers for the same key block
- * until the trace is ready, and callers for other keys proceed
- * unimpeded (the map itself is only held under a short-lived
- * `SharedMutex`, see common/sync.hh).
+ * Thread-safe: a memory-only OnceCache (sim/once_cache.hh) generates
+ * each distinct (workload, max_ops, seed) key exactly once, however
+ * many workers ask for it concurrently.
  */
 class TraceCache
 {
@@ -116,53 +127,44 @@ class TraceCache
         /**
          * Trace identity for cache keys (TraceSource::identity plus
          * the truncation budget): equal identity => bit-identical
-         * instruction stream. CheckpointCache and BaselineCache fold
-         * this into their runConfigKey()-based keys so a rewritten
-         * trace file can never alias a stale entry.
+         * instruction stream. runKey() folds it into the keys of
+         * CheckpointCache and BaselineCache so a rewritten trace
+         * file can never alias a stale entry.
          */
         std::string identity;
         std::string format; ///< "synthetic", "lvpt", or "cvp"
     };
 
     TracePtr get(const std::string &workload, std::size_t max_ops,
-                 std::uint64_t seed) EXCLUDES(mapMx);
+                 std::uint64_t seed);
 
     /** Like get(), but also returning identity and format. */
     Info info(const std::string &workload, std::size_t max_ops,
-              std::uint64_t seed) EXCLUDES(mapMx);
+              std::uint64_t seed);
 
     /** Number of traces actually generated (not cache hits). */
-    std::uint64_t generations() const
-    {
-        return generated.load(std::memory_order_relaxed);
-    }
+    std::uint64_t generations() const { return cache.generations(); }
 
     /** Drop every cached trace (test hook; not used by benches). */
-    void clear() EXCLUDES(mapMx);
+    void clear() { cache.clear(); }
 
     /** The process-wide cache used by benches. */
     static TraceCache &instance();
 
   private:
-    struct Slot
-    {
-        std::once_flag once;
-        TracePtr trace;
-        std::string identity;
-        std::string format;
-    };
+    OnceCache<Info>::Ptr lookup(const std::string &workload,
+                                std::size_t max_ops, std::uint64_t seed);
 
-    std::shared_ptr<Slot> ensure(const std::string &workload,
-                                 std::size_t max_ops,
-                                 std::uint64_t seed) EXCLUDES(mapMx);
-
-    mutable SharedMutex mapMx;
-    // lvplint: allow(determinism) -- keyed lookup cache, never
-    // iterated; each trace is produced by a seeded generator
-    std::unordered_map<std::string, std::shared_ptr<Slot>> cache
-        GUARDED_BY(mapMx);
-    std::atomic<std::uint64_t> generated{0};
+    OnceCache<Info> cache;
 };
+
+/**
+ * runConfigKey() joined with the identity of the run's trace
+ * (TraceCache::Info::identity over traceLength(rc) instructions): the
+ * memo key of CheckpointCache and BaselineCache. File-backed traces
+ * thereby key on content, not path.
+ */
+std::string runKey(const std::string &workload, const RunConfig &rc);
 
 /**
  * Generate the workload trace and run it. With rc.warmupInstrs > 0
@@ -187,19 +189,10 @@ struct SimCheckpoint
 
 /**
  * Process-wide, thread-safe memo of post-warmup checkpoints, keyed by
- * runConfigKey() + the trace identity (TraceCache::Info::identity, so
- * file-backed traces key on content, not path). Same slot discipline
- * as TraceCache: each
- * distinct key is simulated exactly once under a per-key
- * `std::once_flag`; concurrent callers for the same key block until
- * the checkpoint is ready, other keys proceed unimpeded.
- *
- * This in-memory map is the L1 of a two-level design: when the
- * process-wide CheckpointStore (checkpoint_store.hh) is enabled, a
- * missing key is first looked up on disk and only simulated when the
- * disk misses too, with the freshly built snapshot published for
- * future processes. generations() counts only real simulations, so
- * it distinguishes disk hits from rebuilds in tests.
+ * runKey(): a store-backed OnceCache (sim/once_cache.hh, store kind
+ * "ckpt:"), so each key is simulated at most once per process, and
+ * at most once across processes sharing an enabled CheckpointStore.
+ * generations() counts only real simulations.
  */
 class CheckpointCache
 {
@@ -208,8 +201,7 @@ class CheckpointCache
 
     /** Build (once) or fetch the checkpoint for this key. Requires
      *  rc.warmupInstrs > 0. */
-    CheckpointPtr get(const std::string &workload, const RunConfig &rc)
-        EXCLUDES(mapMx);
+    CheckpointPtr get(const std::string &workload, const RunConfig &rc);
 
     /**
      * Interval checkpoints for sampled runs: the machine state after
@@ -221,19 +213,18 @@ class CheckpointCache
      * currently streaming saves and publishes a checkpoint at each
      * claimed index it passes, so each fast-forward gap is traversed
      * once process-wide instead of once per concurrent batch. Each
-     * slot is memoized under the same runConfigKey() +
-     * trace-identity discipline as get(), with the interval index
-     * appended, and is served from the disk store when enabled.
+     * slot is keyed by runKey() with the interval index appended,
+     * and is served from the disk store when enabled.
      */
     std::vector<CheckpointPtr>
     getIntervals(const std::string &workload, const RunConfig &rc,
-                 const std::vector<std::uint64_t> &indices)
-        EXCLUDES(mapMx);
+                 const std::vector<std::uint64_t> &indices);
 
     /** Number of checkpoints actually simulated (not cache hits). */
     std::uint64_t generations() const
     {
-        return generated.load(std::memory_order_relaxed);
+        return cache.generations() +
+               intervalsBuilt.load(std::memory_order_relaxed);
     }
 
     /** Total instructions functionally fast-forwarded by interval
@@ -245,22 +236,15 @@ class CheckpointCache
     }
 
     /** Drop every cached checkpoint (test hook; not used by benches). */
-    void clear() EXCLUDES(mapMx);
+    void clear();
 
     /** The process-wide cache used by runWorkload(). */
     static CheckpointCache &instance();
 
   private:
-    struct Slot
-    {
-        std::once_flag once;
-        CheckpointPtr ckpt;
-    };
-
     /**
-     * Interval slots publish through an atomic flag instead of a
-     * once_flag because the *builder* of a slot is not necessarily
-     * the batch that requested it: `ckpt` is written (under the
+     * Interval slots are not OnceCache slots because the *builder*
+     * of a slot is not necessarily the batch that requested it: `ckpt` is written (under the
      * trace's buildMx) before `ready` is released, and readers load
      * `ready` with acquire before touching `ckpt`.
      */
@@ -283,36 +267,20 @@ class CheckpointCache
         std::set<std::uint64_t> claims GUARDED_BY(claimMx);
     };
 
-    std::shared_ptr<Slot> ensure(const std::string &key)
-        EXCLUDES(mapMx);
-    std::shared_ptr<IntervalSlot>
-    ensureInterval(const std::string &key) EXCLUDES(mapMx);
-    std::shared_ptr<TraceState>
-    ensureTraceState(const std::string &prefix) EXCLUDES(mapMx);
-
     /** Stream ts.core from ts.pos to @p target, saving + publishing
      *  a checkpoint at every claimed index passed (and at target). */
     void advanceAndPublish(TraceState &ts, const std::string &prefix,
-                           std::uint64_t target)
-        REQUIRES(ts.buildMx) EXCLUDES(mapMx);
+                           std::uint64_t target) REQUIRES(ts.buildMx);
 
     /** Publish ts.core's state as interval @p idx and drop its claim. */
     void publishInterval(TraceState &ts, const std::string &prefix,
                          std::uint64_t idx, double buildSeconds)
-        REQUIRES(ts.buildMx) EXCLUDES(mapMx);
+        REQUIRES(ts.buildMx);
 
-    mutable SharedMutex mapMx;
-    // lvplint: allow(determinism) -- keyed lookup caches, never
-    // iterated; checkpoints are deterministic simulation state
-    std::unordered_map<std::string, std::shared_ptr<Slot>> cache
-        GUARDED_BY(mapMx);
-    // lvplint: allow(determinism) -- keyed lookup cache, never iterated
-    std::unordered_map<std::string, std::shared_ptr<IntervalSlot>>
-        intervalCache GUARDED_BY(mapMx);
-    // lvplint: allow(determinism) -- keyed lookup cache, never iterated
-    std::unordered_map<std::string, std::shared_ptr<TraceState>>
-        traceStates GUARDED_BY(mapMx);
-    std::atomic<std::uint64_t> generated{0};
+    OnceCache<SimCheckpoint> cache{"ckpt:"};
+    SlotMap<IntervalSlot> intervals;
+    SlotMap<TraceState> traceStates;
+    std::atomic<std::uint64_t> intervalsBuilt{0};
     std::atomic<std::uint64_t> ffInstrs{0};
 };
 

@@ -158,7 +158,7 @@ TEST(Checkpoint, RestoreMatchesInlineWarmup)
 {
     const auto rc = shortRun(6000);
     auto ops = sim::TraceCache::instance().get(
-        kWorkload, rc.maxInstrs + rc.warmupInstrs, rc.traceSeed);
+        kWorkload, sim::traceLength(rc), rc.traceSeed);
 
     // Reference: one core warms up and measures in a single life.
     auto inline_vp = vp::makeSinglePredictor(pipe::ComponentId::SAP,

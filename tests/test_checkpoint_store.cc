@@ -5,15 +5,21 @@
  * foreign keys are all misses, never crashes), LRU trimming, claim
  * timeouts, and the L1/L2 layering — CheckpointCache, BaselineCache
  * and PlanCache must serve from disk across an in-memory clear()
- * without re-simulating, bit-identically to the inline build.
+ * without re-simulating, bit-identically to the inline build. The
+ * OnceCache tests at the end pin the build-once memo contract
+ * (sim/once_cache.hh) on a toy value type.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <latch>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -26,6 +32,7 @@
 #include "pipeline/snapshot_io.hh"
 #include "sim/checkpoint_store.hh"
 #include "sim/experiment.hh"
+#include "sim/once_cache.hh"
 #include "sim/sampled.hh"
 #include "sim/simulator.hh"
 
@@ -523,4 +530,165 @@ TEST_F(StoreTest, ConcurrentOverlappingBatchesShareTheCursor)
     EXPECT_EQ(a[1], b[2]);
     for (const auto &c : b)
         ASSERT_NE(c, nullptr);
+}
+
+namespace
+{
+
+struct Toy
+{
+    std::uint64_t value = 0;
+};
+
+using ToyCache = sim::OnceCache<Toy>;
+
+/** Store-backed get of @p key whose build yields @p value. */
+ToyCache::Ptr
+getToy(ToyCache &cache, const std::string &key, std::uint64_t value)
+{
+    return cache.get(
+        key, [&](Toy &t) { t.value = value; },
+        [](BinWriter &w, const Toy &t) { w.u64(t.value); },
+        [](BinReader &r, Toy &t) {
+            t.value = r.u64();
+            return true;
+        });
+}
+
+} // anonymous namespace
+
+TEST(OnceCache, ConcurrentGetsOfOneKeyBuildOnce)
+{
+    ToyCache cache;
+    std::atomic<int> builds{0};
+    std::vector<ToyCache::Ptr> got(8);
+    std::latch start(std::ptrdiff_t(got.size()));
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        threads.emplace_back([&, i] {
+            start.arrive_and_wait();
+            got[i] = cache.get("k", [&](Toy &t) {
+                builds.fetch_add(1);
+                // Hold the build open so the other callers pile up.
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(20));
+                t.value = 42;
+            });
+        });
+    }
+    for (auto &t : threads)
+        t.join();
+    EXPECT_EQ(builds.load(), 1);
+    EXPECT_EQ(cache.generations(), 1u);
+    for (const auto &p : got) {
+        ASSERT_EQ(p.get(), got[0].get());
+        EXPECT_EQ(p->value, 42u);
+    }
+}
+
+TEST(OnceCache, NestedGetsDoNotDeadlock)
+{
+    // Builds that get from their own cache (another key) and from a
+    // second cache, crosswise from two threads: a map lock held
+    // during a build would hang here.
+    ToyCache a, b;
+    const auto leaf = [](Toy &t) { t.value = 1; };
+    std::thread ta([&] {
+        a.get("x", [&](Toy &t) {
+            t.value = a.get("leaf", leaf)->value + b.get("y", leaf)->value;
+        });
+    });
+    std::thread tb([&] {
+        b.get("z", [&](Toy &t) {
+            t.value = b.get("leaf", leaf)->value + a.get("w", leaf)->value;
+        });
+    });
+    ta.join();
+    tb.join();
+    EXPECT_EQ(a.get("x", leaf)->value, 2u);
+    EXPECT_EQ(b.get("z", leaf)->value, 2u);
+    EXPECT_EQ(a.generations(), 3u);
+    EXPECT_EQ(b.generations(), 3u);
+}
+
+TEST(OnceCache, ThrowingBuildLeavesKeyRetryable)
+{
+    ToyCache cache;
+    const auto fail = [](Toy &) { throw std::runtime_error("failed"); };
+    EXPECT_THROW(cache.get("k", fail), std::runtime_error);
+    EXPECT_EQ(cache.generations(), 0u);
+    EXPECT_EQ(cache.get("k", [](Toy &t) { t.value = 5; })->value, 5u);
+    EXPECT_EQ(cache.get("k", fail)->value, 5u); // built: never rerun
+    EXPECT_EQ(cache.generations(), 1u);
+}
+
+TEST_F(StoreTest, OnceCacheGetAfterClearIsStoreHit)
+{
+    auto &store = sim::CheckpointStore::instance();
+    store.configure(dir, 0);
+    ToyCache cache("toy:");
+    EXPECT_EQ(getToy(cache, "k", 11)->value, 11u);
+    EXPECT_EQ(cache.generations(), 1u);
+
+    cache.clear();
+    const auto hits0 = store.hits();
+    EXPECT_EQ(getToy(cache, "k", 99)->value, 11u);
+    EXPECT_EQ(cache.generations(), 1u);
+    EXPECT_EQ(store.hits(), hits0 + 1);
+}
+
+TEST_F(StoreTest, OnceCacheSkewedOrTruncatedPayloadIsRebuilt)
+{
+    auto &store = sim::CheckpointStore::instance();
+    store.configure(dir, 0);
+    const auto put = [&](const char *key, std::uint32_t version,
+                         std::size_t valueBytes) {
+        store.publish(key, [&](BinWriter &w) {
+            w.u32(version);
+            for (std::size_t i = 0; i < valueBytes; ++i)
+                w.u8(13);
+        });
+    };
+    const std::uint32_t ver = pipe::kSnapshotFormatVersion;
+    put("toy:skew", ver + 1, 8); // another format version
+    put("toy:short", ver, 4);    // cut inside the value
+    put("toy:long", ver, 9);     // trailing bytes
+
+    ToyCache cache("toy:");
+    std::uint64_t gen = 0;
+    for (const char *key : {"skew", "short", "long"}) {
+        const auto misses0 = store.misses();
+        EXPECT_EQ(getToy(cache, key, 21)->value, 21u) << key;
+        EXPECT_EQ(cache.generations(), ++gen) << key;
+        EXPECT_EQ(store.misses(), misses0 + 1) << key;
+        // The rebuild republished a well-formed entry.
+        cache.clear();
+        EXPECT_EQ(getToy(cache, key, 99)->value, 21u) << key;
+        EXPECT_EQ(cache.generations(), gen) << key;
+    }
+}
+
+TEST_F(StoreTest, OnceCacheBuildHoldsStoreClaim)
+{
+    auto &store = sim::CheckpointStore::instance();
+    store.configure(dir, 0);
+    ToyCache cache("toy:");
+    const std::string claim = store.entryPath("toy:k") + ".building";
+
+    // Other processes see the key claimed for the whole build, and a
+    // throwing build releases the claim for the retry.
+    bool claimed = false;
+    EXPECT_THROW(cache.get(
+                     "k",
+                     [&](Toy &) {
+                         claimed = fileMtime(claim) >= 0;
+                         throw std::runtime_error("failed");
+                     },
+                     [](BinWriter &, const Toy &) {},
+                     [](BinReader &, Toy &) { return true; }),
+                 std::runtime_error);
+    EXPECT_TRUE(claimed);
+    EXPECT_LT(fileMtime(claim), 0);
+    EXPECT_EQ(getToy(cache, "k", 3)->value, 3u);
+    EXPECT_EQ(cache.generations(), 1u);
 }

@@ -207,7 +207,7 @@ TEST(TraceCache, ConcurrentGetGeneratesOnce)
     std::vector<sim::TraceCache::TracePtr> got(kThreads);
     {
         // All workers request the same key at once; the per-key
-        // once_flag must admit exactly one generator.
+        // build must admit exactly one generator.
         sim::ParallelExecutor pool(kThreads);
         pool.parallelFor(kThreads, [&](std::size_t i) {
             got[i] = cache.get("memset_loop", 4000, 7);

@@ -26,16 +26,28 @@ TEST(Options, InstrsFromEnvironment)
 {
     setenv("LVPSIM_INSTRS", "777", 1);
     EXPECT_EQ(instrsFromEnv(1), 777u);
+    setenv("LVPSIM_INSTRS", "0", 1); // 0 selects the fallback
+    EXPECT_EQ(instrsFromEnv(42), 42u);
     unsetenv("LVPSIM_INSTRS");
 }
 
-TEST(Options, InstrsIgnoresGarbage)
+TEST(Options, InstrsRejectsGarbage)
 {
-    setenv("LVPSIM_INSTRS", "not-a-number", 1);
-    EXPECT_EQ(instrsFromEnv(42), 42u);
-    setenv("LVPSIM_INSTRS", "-5", 1);
-    EXPECT_EQ(instrsFromEnv(42), 42u);
+    // A malformed count is a usage error (exit 2 naming the variable),
+    // never a silent fallback to the default.
+    for (const char *bad : {"not-a-number", "-5", "+5", "", " 5", "5x",
+                            "99999999999999999999"}) {
+        setenv("LVPSIM_INSTRS", bad, 1);
+        EXPECT_EXIT(instrsFromEnv(42), ::testing::ExitedWithCode(2),
+                    "LVPSIM_INSTRS")
+            << "'" << bad << "'";
+        setenv("LVPSIM_WARMUP", bad, 1);
+        EXPECT_EXIT(warmupFromEnv(), ::testing::ExitedWithCode(2),
+                    "LVPSIM_WARMUP")
+            << "'" << bad << "'";
+    }
     unsetenv("LVPSIM_INSTRS");
+    unsetenv("LVPSIM_WARMUP");
 }
 
 TEST(Options, SuiteSelection)

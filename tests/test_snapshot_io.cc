@@ -42,7 +42,7 @@ warmSnapshot(const std::string &workload)
 {
     const auto rc = warmRc();
     auto ops = sim::TraceCache::instance().get(
-        workload, rc.maxInstrs + rc.warmupInstrs, rc.traceSeed);
+        workload, sim::traceLength(rc), rc.traceSeed);
     pipe::Core core(rc.core, *ops, nullptr);
     core.warmup(rc.warmupInstrs);
     pipe::Core::Snapshot s;
@@ -86,7 +86,7 @@ TEST(SnapshotIo, RestoredCoreResumesBitIdentically)
     const auto rc = warmRc();
     const char *workload = "hash_probe";
     auto ops = sim::TraceCache::instance().get(
-        workload, rc.maxInstrs + rc.warmupInstrs, rc.traceSeed);
+        workload, sim::traceLength(rc), rc.traceSeed);
 
     // Reference: warm up and measure in one life.
     pipe::NullPredictor refVp;

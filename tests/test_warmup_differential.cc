@@ -86,7 +86,7 @@ TEST_P(WarmupDifferential, CheckpointedSweepMatchesInlineWarmup)
     std::vector<pipe::SimStats> ref_base;
     for (const auto &w : workloads) {
         auto ops = sim::TraceCache::instance().get(
-            w, rc.maxInstrs + rc.warmupInstrs, rc.traceSeed);
+            w, sim::traceLength(rc), rc.traceSeed);
         pipe::NullPredictor none;
         ref_base.push_back(sim::runTrace(*ops, &none, rc));
         for (std::size_t c = 0; c < configs.size(); ++c) {

@@ -10,8 +10,6 @@
 #   baseline               measured slice        floor
 #   BENCH_throughput.json  micro_throughput      per-workload kips >=
 #                                                ref / TOL_THROUGHPUT
-#   BENCH_sweep.json       sweep_throughput      speedup >=
-#                                                ref / TOL_SWEEP
 #   BENCH_sampling.json    sampling_throughput   speedup >=
 #                                                ref / TOL_SAMPLING
 #   BENCH_store.json       store_throughput      speedup >=
@@ -25,7 +23,6 @@
 # Usage: check_perf_regression.sh <bench-bin-dir> <repo-root> \
 #            <build-type>
 #   LVPSIM_PERF_TOL_THROUGHPUT=<x>  (default $LVPSIM_PERF_TOL or 5.0)
-#   LVPSIM_PERF_TOL_SWEEP=<x>       (default 3.0)
 #   LVPSIM_PERF_TOL_SAMPLING=<x>    (default 4.0)
 #   LVPSIM_PERF_TOL_STORE=<x>       (default 3.0)
 #
@@ -40,7 +37,6 @@ root=${2:?missing repo root}
 build_type=${3:-}
 
 tol_throughput=${LVPSIM_PERF_TOL_THROUGHPUT:-${LVPSIM_PERF_TOL:-5.0}}
-tol_sweep=${LVPSIM_PERF_TOL_SWEEP:-3.0}
 tol_sampling=${LVPSIM_PERF_TOL_SAMPLING:-4.0}
 tol_store=${LVPSIM_PERF_TOL_STORE:-3.0}
 
@@ -132,20 +128,6 @@ if now["speedup"] < floor:
 print(f"OK: {what} speedup within {tol}x of the committed baseline")
 EOF
 }
-
-# ---- sweep: checkpointed-sweep speedup ratio -----------------------
-if [ -f "$root/BENCH_sweep.json" ] && \
-   [ -x "$bindir/sweep_throughput" ]; then
-    gated=$((gated + 1))
-    echo "== sweep (smoke slice, tol ${tol_sweep}x) =="
-    LVPSIM_SUITE=smoke LVPSIM_INSTRS=20000 \
-        "$bindir/sweep_throughput" --json "$dir/sweep.json" \
-        > /dev/null
-    check_ratio "$dir/sweep.json" "$root/BENCH_sweep.json" \
-        "$tol_sweep" sweep || failures=$((failures + 1))
-else
-    echo "note: sweep baseline or binary absent, not gated"
-fi
 
 # ---- sampling: sampled-vs-full speedup ratio -----------------------
 if [ -f "$root/BENCH_sampling.json" ] && \

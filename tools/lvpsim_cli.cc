@@ -155,6 +155,9 @@ parse(int argc, char **argv, CliOptions &o)
             }
             return argv[++i];
         };
+        auto count = [&](const char *what) {
+            return sim::parseCountOrExit(what, next(what));
+        };
         if (a == "--list")
             o.list = true;
         else if (a == "--workload")
@@ -162,18 +165,17 @@ parse(int argc, char **argv, CliOptions &o)
         else if (a == "--predictor")
             o.predictor = next("--predictor");
         else if (a == "--entries")
-            o.entries = std::size_t(atoll(next("--entries")));
+            o.entries = std::size_t(count("--entries"));
         else if (a == "--instrs")
-            o.instrs = std::size_t(atoll(next("--instrs")));
+            o.instrs = std::size_t(count("--instrs"));
         else if (a == "--warmup")
-            o.warmup = std::size_t(atoll(next("--warmup")));
+            o.warmup = std::size_t(count("--warmup"));
         else if (a == "--sample")
-            o.sampleK = std::size_t(atoll(next("--sample")));
+            o.sampleK = std::size_t(count("--sample"));
         else if (a == "--interval-len")
-            o.intervalLen =
-                std::size_t(atoll(next("--interval-len")));
+            o.intervalLen = std::size_t(count("--interval-len"));
         else if (a == "--progress")
-            o.progress = std::uint64_t(atoll(next("--progress")));
+            o.progress = count("--progress");
         else if (a == "--am")
             o.am = next("--am");
         else if (a == "--smart")
@@ -197,10 +199,9 @@ parse(int argc, char **argv, CliOptions &o)
             o.storeDir = next("--store");
             o.storeSet = true;
         } else if (a == "--store-max-bytes")
-            o.storeMaxBytes =
-                std::uint64_t(atoll(next("--store-max-bytes")));
+            o.storeMaxBytes = count("--store-max-bytes");
         else if (a == "--seed")
-            o.seed = std::uint64_t(atoll(next("--seed")));
+            o.seed = count("--seed");
         else if (a == "--save-trace")
             o.saveTrace = next("--save-trace");
         else if (a == "--save-cvp")
@@ -397,7 +398,8 @@ main(int argc, char **argv)
         std::uint64_t budget = o.storeMaxBytes;
         if (budget == 0)
             if (const char *e = std::getenv("LVPSIM_STORE_MAX_BYTES"))
-                budget = std::uint64_t(atoll(e));
+                budget =
+                    sim::parseCountOrExit("LVPSIM_STORE_MAX_BYTES", e);
         sim::CheckpointStore::instance().configure(
             sim::CheckpointStore::resolveDir(
                 o.storeSet ? o.storeDir : ""),
@@ -464,7 +466,7 @@ main(int argc, char **argv)
     // (runTrace simulates the warmup inline); file-backed traces are
     // truncated to that budget.
     const auto ops = sim::TraceCache::instance().get(
-        spec, rc.maxInstrs + rc.warmupInstrs, rc.traceSeed);
+        spec, sim::traceLength(rc), rc.traceSeed);
     const std::string source = spec;
 
     if (!o.saveTrace.empty()) {
@@ -570,7 +572,7 @@ main(int argc, char **argv)
         sim::WorkloadResult row;
         row.workload = source;
         const auto tinfo = sim::TraceCache::instance().info(
-            source, rc.maxInstrs + rc.warmupInstrs, rc.traceSeed);
+            source, sim::traceLength(rc), rc.traceSeed);
         row.traceFormat = tinfo.format;
         row.traceInstructions = tinfo.trace->size();
         row.base = base;

@@ -18,9 +18,10 @@
 #
 # The TSan tree additionally runs the differential, sampling, and
 # store labels at ctest -j4 — four concurrent simulations hammering
-# the TraceCache / CheckpointCache / PlanCache slot discipline plus
-# the CheckpointStore claim/publish protocol (test_checkpoint_store
-# and the two-process store_concurrency gate), which is exactly the
+# the sim::OnceCache memo behind TraceCache / CheckpointCache /
+# BaselineCache / PlanCache (plus its contract tests) and the
+# CheckpointStore claim/publish protocol (test_checkpoint_store and
+# the two-process store_concurrency gate), which is exactly the
 # interleaving the annotated locking contracts (common/sync.hh,
 # docs/static_analysis.md) claim to make safe.
 #
