@@ -98,14 +98,8 @@ initBench(int argc, char **argv, const std::string &tag)
         } else if (a == "--json") {
             o.jsonPath = next("--json");
         } else if (a == "--warmup") {
-            const std::string v = next("--warmup");
-            const long long n = std::atoll(v.c_str());
-            if (n < 0) {
-                std::cerr << "bad --warmup value '" << v
-                          << "' (want a count >= 0)\n";
-                std::exit(2);
-            }
-            o.warmup = std::size_t(n);
+            o.warmup = std::size_t(
+                sim::parseCountOrExit("--warmup", next("--warmup")));
         } else if (a == "--help" || a == "-h") {
             std::cout << tag
                       << " [--jobs N|auto] [--json FILE]"

@@ -28,6 +28,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "sim/options.hh"
 #include "sim/parallel_executor.hh"
 
 namespace lvpsim
@@ -62,6 +63,7 @@ microbenchMain(int argc, char **argv, const char *tag)
             fwd.push_back("--benchmark_out_format=json");
         } else if (a == "--warmup") {
             const std::string v = next("--warmup");
+            sim::parseCountOrExit("--warmup", v);
             ::setenv("LVPSIM_WARMUP", v.c_str(), 1);
         } else if (a == "--help" || a == "-h") {
             std::cout << tag

@@ -35,6 +35,8 @@
  * order); the schema is documented in docs/kernel_dsl.md.
  */
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -49,6 +51,7 @@
 #include "qa/spec_oracles.hh"
 #include "sim/cvp1.hh"
 #include "sim/json.hh"
+#include "sim/options.hh"
 #include "sim/simulator.hh"
 #include "trace/kernel_spec.hh"
 #include "trace/spec_truth.hh"
@@ -146,6 +149,23 @@ familyJson(double hits, std::uint64_t loads)
     return sim::JsonValue(trace::truthFrac(hits, loads));
 }
 
+/** --gap: a finite fraction >= 0; anything else exits 2. */
+double
+parseGapOrExit(const char *text)
+{
+    double v = 0.0;
+    const char *end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, v);
+    if (ec != std::errc{} || ptr != end || !std::isfinite(v) || v < 0.0) {
+        std::fprintf(stderr,
+                     "bad --gap value '%s' (want a finite fraction "
+                     ">= 0)\n",
+                     text);
+        std::exit(2);
+    }
+    return v;
+}
+
 int
 usage(const char *argv0)
 {
@@ -180,13 +200,13 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (a == "--instrs") {
-            instrs = std::strtoull(need("--instrs"), nullptr, 0);
+            instrs = sim::parseCountOrExit("--instrs", need("--instrs"));
         } else if (a == "--seed") {
-            seed = std::strtoull(need("--seed"), nullptr, 0);
+            seed = sim::parseCountOrExit("--seed", need("--seed"));
         } else if (a == "--gap") {
-            gapThreshold = std::strtod(need("--gap"), nullptr);
+            gapThreshold = parseGapOrExit(need("--gap"));
         } else if (a == "--limit") {
-            limit = std::strtoull(need("--limit"), nullptr, 0);
+            limit = sim::parseCountOrExit("--limit", need("--limit"));
         } else if (a == "--json") {
             jsonPath = need("--json");
         } else {
