@@ -23,8 +23,9 @@ IttageConfig::storageBits() const
 }
 
 Ittage::Ittage(const IttageConfig &config, std::uint64_t seed)
-    : cfg(config), rng(seed)
+    : cfg(config)
 {
+    rng = Xoshiro256(seed);
     base.assign(std::size_t(1) << cfg.logBase, 0);
     tables.assign(cfg.numTables, {});
     for (auto &t : tables)
@@ -134,38 +135,6 @@ Ittage::update(Addr pc, Addr target)
         foldIdx[t].update(ring);
         foldTag[t].update(ring);
     }
-}
-
-void
-Ittage::saveState(Snapshot &s) const
-{
-    s.base = base;
-    s.tables = tables;
-    s.foldIdx = foldIdx;
-    s.foldTag = foldTag;
-    s.ring = ring;
-    s.rng = rng;
-    s.providerTable = providerTable;
-    s.lastPrediction = lastPrediction;
-    s.lastPc = lastPc;
-    s.numLookups = numLookups;
-    s.numMispredicts = numMispredicts;
-}
-
-void
-Ittage::restoreState(const Snapshot &s)
-{
-    base = s.base;
-    tables = s.tables;
-    foldIdx = s.foldIdx;
-    foldTag = s.foldTag;
-    ring = s.ring;
-    rng = s.rng;
-    providerTable = s.providerTable;
-    lastPrediction = s.lastPrediction;
-    lastPc = s.lastPc;
-    numLookups = s.numLookups;
-    numMispredicts = s.numMispredicts;
 }
 
 } // namespace branch

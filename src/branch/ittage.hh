@@ -31,9 +31,39 @@ struct IttageConfig
     std::uint64_t storageBits() const;
 };
 
-class Ittage
+/** Ittage's checkpointed state; table geometry comes from the
+ *  config. */
+struct IttageState
+{
+    struct Entry
+    {
+        bool valid = false;
+        std::uint16_t tag = 0;
+        Addr target = 0;
+        std::uint8_t conf = 0;   ///< 2-bit
+        std::uint8_t useful = 0; ///< 1-bit
+    };
+
+    std::vector<Addr> base;
+    std::vector<std::vector<Entry>> tables;
+    std::vector<FoldedHistory> foldIdx;
+    std::vector<FoldedHistory> foldTag;
+    HistoryRing ring;
+    Xoshiro256 rng;
+
+    int providerTable = -1;
+    Addr lastPrediction = 0;
+    Addr lastPc = 0;
+
+    std::uint64_t numLookups = 0;
+    std::uint64_t numMispredicts = 0;
+};
+
+class Ittage : private IttageState
 {
   public:
+    using State = IttageState;
+
     explicit Ittage(const IttageConfig &cfg = IttageConfig{},
                     std::uint64_t seed = 0x177a9e);
 
@@ -46,56 +76,17 @@ class Ittage
     std::uint64_t lookups() const { return numLookups; }
     std::uint64_t mispredicts() const { return numMispredicts; }
 
-  private:
-    struct Entry
-    {
-        bool valid = false;
-        std::uint16_t tag = 0;
-        Addr target = 0;
-        std::uint8_t conf = 0;   ///< 2-bit
-        std::uint8_t useful = 0; ///< 1-bit
-    };
+    void saveState(State &s) const { s = *this; }
+    void restoreState(const State &s) { State::operator=(s); }
 
+  private:
     unsigned tableIndex(Addr pc, unsigned t) const;
     std::uint16_t tableTag(Addr pc, unsigned t) const;
 
     // lvplint: allow(state-snapshot) -- construction-time config, immutable
     IttageConfig cfg;
-    std::vector<Addr> base;
-    std::vector<std::vector<Entry>> tables;
     // lvplint: allow(state-snapshot) -- derived from cfg, immutable
     std::vector<unsigned> histLen;
-    std::vector<FoldedHistory> foldIdx;
-    std::vector<FoldedHistory> foldTag;
-    HistoryRing ring;
-    Xoshiro256 rng;
-
-    int providerTable = -1;
-    Addr lastPrediction = 0;
-    Addr lastPc = 0;
-
-    std::uint64_t numLookups = 0;
-    std::uint64_t numMispredicts = 0;
-
-  public:
-    /** Mutable state only; table geometry comes from the config. */
-    struct Snapshot
-    {
-        std::vector<Addr> base;
-        std::vector<std::vector<Entry>> tables;
-        std::vector<FoldedHistory> foldIdx;
-        std::vector<FoldedHistory> foldTag;
-        HistoryRing ring;
-        Xoshiro256 rng;
-        int providerTable = -1;
-        Addr lastPrediction = 0;
-        Addr lastPc = 0;
-        std::uint64_t numLookups = 0;
-        std::uint64_t numMispredicts = 0;
-    };
-
-    void saveState(Snapshot &s) const;
-    void restoreState(const Snapshot &s);
 };
 
 } // namespace branch

@@ -15,12 +15,23 @@ namespace lvpsim
 namespace branch
 {
 
-class ReturnAddressStack
+/** The stack is all checkpointed state; capacity rides in entries. */
+struct ReturnAddressStackState
+{
+    std::vector<Addr> entries;
+    std::size_t top = 0;
+    std::size_t count = 0;
+};
+
+class ReturnAddressStack : private ReturnAddressStackState
 {
   public:
+    using State = ReturnAddressStackState;
+
     explicit ReturnAddressStack(unsigned depth = 16)
-        : entries(depth, 0), top(0), count(0)
-    {}
+    {
+        entries.assign(depth, 0);
+    }
 
     void
     push(Addr return_addr)
@@ -45,34 +56,8 @@ class ReturnAddressStack
 
     std::size_t depth() const { return count; }
 
-    /** The stack is all mutable state; capacity rides in entries. */
-    struct Snapshot
-    {
-        std::vector<Addr> entries;
-        std::size_t top = 0;
-        std::size_t count = 0;
-    };
-
-    void
-    saveState(Snapshot &s) const
-    {
-        s.entries = entries;
-        s.top = top;
-        s.count = count;
-    }
-
-    void
-    restoreState(const Snapshot &s)
-    {
-        entries = s.entries;
-        top = s.top;
-        count = s.count;
-    }
-
-  private:
-    std::vector<Addr> entries;
-    std::size_t top;
-    std::size_t count;
+    void saveState(State &s) const { s = *this; }
+    void restoreState(const State &s) { State::operator=(s); }
 };
 
 } // namespace branch

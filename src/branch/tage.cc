@@ -22,8 +22,9 @@ TageConfig::storageBits() const
 }
 
 Tage::Tage(const TageConfig &config, std::uint64_t seed)
-    : cfg(config), rng(seed)
+    : cfg(config)
 {
+    rng = Xoshiro256(seed);
     base.assign(std::size_t(1) << cfg.logBase, 0);
     tables.assign(cfg.numTables, {});
     for (auto &t : tables)
@@ -183,48 +184,6 @@ Tage::update(Addr pc, bool taken)
     }
 
     pushHistory(pc, taken);
-}
-
-void
-Tage::saveState(Snapshot &s) const
-{
-    s.base = base;
-    s.tables = tables;
-    s.foldIdx = foldIdx;
-    s.foldTag1 = foldTag1;
-    s.foldTag2 = foldTag2;
-    s.ring = ring;
-    s.pathHist = pathHist;
-    s.rng = rng;
-    s.providerTable = providerTable;
-    s.altTable = altTable;
-    s.providerPred = providerPred;
-    s.altPred = altPred;
-    s.lastPrediction = lastPrediction;
-    s.lastPc = lastPc;
-    s.numLookups = numLookups;
-    s.numMispredicts = numMispredicts;
-}
-
-void
-Tage::restoreState(const Snapshot &s)
-{
-    base = s.base;
-    tables = s.tables;
-    foldIdx = s.foldIdx;
-    foldTag1 = s.foldTag1;
-    foldTag2 = s.foldTag2;
-    ring = s.ring;
-    pathHist = s.pathHist;
-    rng = s.rng;
-    providerTable = s.providerTable;
-    altTable = s.altTable;
-    providerPred = s.providerPred;
-    altPred = s.altPred;
-    lastPrediction = s.lastPrediction;
-    lastPc = s.lastPc;
-    numLookups = s.numLookups;
-    numMispredicts = s.numMispredicts;
 }
 
 } // namespace branch

@@ -37,9 +37,43 @@ struct TageConfig
     std::uint64_t storageBits() const;
 };
 
-class Tage
+/** Tage's checkpointed state; table geometry comes from the config. */
+struct TageState
+{
+    struct TaggedEntry
+    {
+        std::uint16_t tag = 0;
+        std::int8_t ctr = 0;     ///< signed; taken if >= 0
+        std::uint8_t useful = 0;
+        bool valid = false;
+    };
+
+    std::vector<std::int8_t> base; ///< 2-bit bimodal, taken if >= 0
+    std::vector<std::vector<TaggedEntry>> tables;
+    std::vector<FoldedHistory> foldIdx;
+    std::vector<FoldedHistory> foldTag1;
+    std::vector<FoldedHistory> foldTag2;
+    HistoryRing ring;
+    std::uint64_t pathHist = 0;
+    Xoshiro256 rng;
+
+    // Prediction state carried from predict() to update().
+    int providerTable = -1;
+    int altTable = -1;
+    bool providerPred = false;
+    bool altPred = false;
+    bool lastPrediction = false;
+    Addr lastPc = 0;
+
+    std::uint64_t numLookups = 0;
+    std::uint64_t numMispredicts = 0;
+};
+
+class Tage : private TageState
 {
   public:
+    using State = TageState;
+
     explicit Tage(const TageConfig &cfg = TageConfig{},
                   std::uint64_t seed = 0x7a9e);
 
@@ -58,67 +92,18 @@ class Tage
     std::uint64_t lookups() const { return numLookups; }
     std::uint64_t mispredicts() const { return numMispredicts; }
 
-  private:
-    struct TaggedEntry
-    {
-        std::uint16_t tag = 0;
-        std::int8_t ctr = 0;     ///< signed; taken if >= 0
-        std::uint8_t useful = 0;
-        bool valid = false;
-    };
+    void saveState(State &s) const { s = *this; }
+    void restoreState(const State &s) { State::operator=(s); }
 
+  private:
     unsigned tableIndex(Addr pc, unsigned t) const;
     std::uint16_t tableTag(Addr pc, unsigned t) const;
     void pushHistory(Addr pc, bool taken);
 
     // lvplint: allow(state-snapshot) -- construction-time config, immutable
     TageConfig cfg;
-    std::vector<std::int8_t> base; ///< 2-bit bimodal, taken if >= 0
-    std::vector<std::vector<TaggedEntry>> tables;
     // lvplint: allow(state-snapshot) -- derived from cfg, immutable
     std::vector<unsigned> histLen;
-    std::vector<FoldedHistory> foldIdx;
-    std::vector<FoldedHistory> foldTag1;
-    std::vector<FoldedHistory> foldTag2;
-    HistoryRing ring;
-    std::uint64_t pathHist = 0;
-    Xoshiro256 rng;
-
-    // Prediction state carried from predict() to update().
-    int providerTable = -1;
-    int altTable = -1;
-    bool providerPred = false;
-    bool altPred = false;
-    bool lastPrediction = false;
-    Addr lastPc = 0;
-
-    std::uint64_t numLookups = 0;
-    std::uint64_t numMispredicts = 0;
-
-  public:
-    /** Mutable state only; table geometry comes from the config. */
-    struct Snapshot
-    {
-        std::vector<std::int8_t> base;
-        std::vector<std::vector<TaggedEntry>> tables;
-        std::vector<FoldedHistory> foldIdx;
-        std::vector<FoldedHistory> foldTag1;
-        std::vector<FoldedHistory> foldTag2;
-        HistoryRing ring;
-        std::uint64_t pathHist = 0;
-        Xoshiro256 rng;
-        int providerTable = -1;
-        int altTable = -1;
-        bool providerPred = false;
-        bool altPred = false;
-        bool lastPrediction = false;
-        Addr lastPc = 0;
-        std::uint64_t numLookups = 0;
-        std::uint64_t numMispredicts = 0;
-    };
-
-    void saveState(Snapshot &s) const;
-    void restoreState(const Snapshot &s);
 };
 
 } // namespace branch

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace lvpsim
@@ -45,47 +46,70 @@ fnv1a64(const std::string &s, std::uint64_t h = kFnvOffsetBasis)
     return fnv1a64(s.data(), s.size(), h);
 }
 
+/**
+ * The shared field spelling. BinWriter and BinReader have the same
+ * field methods (u8 ... u64, i8, i64, b, f64, vec, check), so one
+ * `template <class Ar> void io(Ar &ar, T &t)` body both encodes and
+ * decodes a type: the writer reads each named field, the reader
+ * assigns it. Read-side validation goes through check(), which only
+ * the reader acts on; `Ar::reads` tells the two apart where a codec
+ * must (docs/architecture.md, "Checkpointed state").
+ */
+template <typename T>
+concept WireInt = std::is_integral_v<T> || std::is_enum_v<T>;
+
 /** Append-only little-endian encoder. */
 class BinWriter
 {
   public:
+    static constexpr bool reads = false;
+
+    template <WireInt T>
     void
-    u8(std::uint8_t v)
+    u8(T v)
     {
-        buf.push_back(v);
+        buf.push_back(static_cast<std::uint8_t>(v));
     }
 
+    template <WireInt T>
     void
-    u16(std::uint16_t v)
+    u16(T v)
     {
-        u8(static_cast<std::uint8_t>(v));
-        u8(static_cast<std::uint8_t>(v >> 8));
+        const auto x = static_cast<std::uint16_t>(v);
+        u8(x);
+        u8(x >> 8);
     }
 
+    template <WireInt T>
     void
-    u32(std::uint32_t v)
+    u32(T v)
     {
-        u16(static_cast<std::uint16_t>(v));
-        u16(static_cast<std::uint16_t>(v >> 16));
+        const auto x = static_cast<std::uint32_t>(v);
+        u16(x);
+        u16(x >> 16);
     }
 
+    template <WireInt T>
     void
-    u64(std::uint64_t v)
+    u64(T v)
     {
-        u32(static_cast<std::uint32_t>(v));
-        u32(static_cast<std::uint32_t>(v >> 32));
+        const auto x = static_cast<std::uint64_t>(v);
+        u32(x);
+        u32(x >> 32);
     }
 
+    template <WireInt T>
     void
-    i8(std::int8_t v)
+    i8(T v)
     {
-        u8(static_cast<std::uint8_t>(v));
+        u8(static_cast<std::int8_t>(v));
     }
 
+    template <WireInt T>
     void
-    i64(std::int64_t v)
+    i64(T v)
     {
-        u64(static_cast<std::uint64_t>(v));
+        u64(static_cast<std::int64_t>(v));
     }
 
     void
@@ -117,6 +141,19 @@ class BinWriter
         bytes(s.data(), s.size());
     }
 
+    /** A length-prefixed vector, each element through @p field. */
+    template <typename V, typename Field>
+    void
+    vec(V &v, std::size_t /* minBytesPerElem */, Field field)
+    {
+        u64(v.size());
+        for (auto &&e : v)
+            field(*this, e);
+    }
+
+    /** Read-side validation; nothing to check when writing. */
+    void check(bool) {}
+
     const std::vector<std::uint8_t> &buffer() const { return buf; }
     std::vector<std::uint8_t> take() { return std::move(buf); }
     std::size_t size() const { return buf.size(); }
@@ -129,6 +166,8 @@ class BinWriter
 class BinReader
 {
   public:
+    static constexpr bool reads = true;
+
     BinReader(const void *data, std::size_t size)
         : base(static_cast<const std::uint8_t *>(data)), len(size)
     {
@@ -191,6 +230,17 @@ class BinReader
         return v;
     }
 
+    // The field spelling: each reads into its argument.
+    template <WireInt T> void u8(T &v) { v = static_cast<T>(u8()); }
+    template <WireInt T> void u16(T &v) { v = static_cast<T>(u16()); }
+    template <WireInt T> void u32(T &v) { v = static_cast<T>(u32()); }
+    template <WireInt T> void u64(T &v) { v = static_cast<T>(u64()); }
+    template <WireInt T> void i8(T &v) { v = static_cast<T>(i8()); }
+    template <WireInt T> void i64(T &v) { v = static_cast<T>(i64()); }
+    void b(bool &v) { v = b(); }
+    void b(std::vector<bool>::reference v) { v = b(); }
+    void f64(double &v) { v = f64(); }
+
     bool
     bytes(void *out, std::size_t n)
     {
@@ -234,6 +284,30 @@ class BinReader
             return 0;
         }
         return static_cast<std::size_t>(n);
+    }
+
+    /** A length-prefixed vector (see BinWriter::vec); the count is
+     *  bounded by count(@p minBytesPerElem). */
+    template <typename V, typename Field>
+    void
+    vec(V &v, std::size_t minBytesPerElem, Field field)
+    {
+        const std::size_t n = count(minBytesPerElem);
+        v.clear();
+        v.resize(n);
+        for (auto &&e : v) {
+            field(*this, e);
+            if (failed)
+                return;
+        }
+    }
+
+    /** Mark the stream corrupt unless @p valid (semantic checks). */
+    void
+    check(bool valid)
+    {
+        if (!valid)
+            failed = true;
     }
 
     /** Mark the stream corrupt (semantic validation failed). */

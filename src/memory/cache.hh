@@ -29,9 +29,28 @@ struct CacheConfig
     Cycle accessLatency = 2;
 };
 
-class Cache
+/** Cache's checkpointed state; geometry comes from the config. */
+struct CacheState
+{
+    struct Line
+    {
+        bool valid = false;
+        bool dirty = false;
+        Addr tag = 0;
+        std::uint64_t lastUse = 0;
+    };
+
+    std::vector<Line> lines;
+    std::uint64_t useClock = 0;
+    std::uint64_t numHits = 0;
+    std::uint64_t numMisses = 0;
+};
+
+class Cache : private CacheState
 {
   public:
+    using State = CacheState;
+
     explicit Cache(const CacheConfig &cfg);
 
     /**
@@ -63,15 +82,10 @@ class Cache
     std::uint64_t hits() const { return numHits; }
     std::uint64_t misses() const { return numMisses; }
 
-  private:
-    struct Line
-    {
-        bool valid = false;
-        bool dirty = false;
-        Addr tag = 0;
-        std::uint64_t lastUse = 0;
-    };
+    void saveState(State &s) const { s = *this; }
+    void restoreState(const State &s) { State::operator=(s); }
 
+  private:
     Addr blockAddr(Addr a) const { return a & ~Addr(cfg.blockSize - 1); }
     std::size_t setOf(Addr a) const
     {
@@ -85,38 +99,6 @@ class Cache
     unsigned blockShift;
     // lvplint: allow(state-snapshot) -- derived from cfg, immutable
     std::size_t numSets;
-    std::vector<Line> lines;
-    std::uint64_t useClock = 0;
-    std::uint64_t numHits = 0;
-    std::uint64_t numMisses = 0;
-
-  public:
-    /** Mutable state only; geometry comes from the owning config. */
-    struct Snapshot
-    {
-        std::vector<Line> lines;
-        std::uint64_t useClock = 0;
-        std::uint64_t numHits = 0;
-        std::uint64_t numMisses = 0;
-    };
-
-    void
-    saveState(Snapshot &s) const
-    {
-        s.lines = lines;
-        s.useClock = useClock;
-        s.numHits = numHits;
-        s.numMisses = numMisses;
-    }
-
-    void
-    restoreState(const Snapshot &s)
-    {
-        lines = s.lines;
-        useClock = s.useClock;
-        numHits = s.numHits;
-        numMisses = s.numMisses;
-    }
 };
 
 } // namespace mem

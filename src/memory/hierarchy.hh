@@ -72,19 +72,19 @@ class MemoryHierarchy
 
     std::uint64_t prefetchesIssued() const { return pf.issued(); }
 
-    /** Aggregate of every component's mutable state. */
-    struct Snapshot
+    /** Aggregate of every component's checkpointed state. */
+    struct State
     {
-        Cache::Snapshot icache;
-        Cache::Snapshot dcache;
-        Cache::Snapshot l2cache;
-        Cache::Snapshot l3cache;
-        Tlb::Snapshot dtlb;
-        StridePrefetcher::Snapshot pf;
+        Cache::State icache;
+        Cache::State dcache;
+        Cache::State l2cache;
+        Cache::State l3cache;
+        Tlb::State dtlb;
+        StridePrefetcher::State pf;
     };
 
     void
-    saveState(Snapshot &s) const
+    saveState(State &s) const
     {
         icache.saveState(s.icache);
         dcache.saveState(s.dcache);
@@ -95,7 +95,7 @@ class MemoryHierarchy
     }
 
     void
-    restoreState(const Snapshot &s)
+    restoreState(const State &s)
     {
         icache.restoreState(s.icache);
         dcache.restoreState(s.dcache);

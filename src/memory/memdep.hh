@@ -19,13 +19,26 @@ namespace lvpsim
 namespace mem
 {
 
-class MemDepPredictor
+/** MemDepPredictor's checkpointed state; the clear interval comes
+ *  from the constructor. */
+struct MemDepPredictorState
+{
+    std::vector<bool> waitBits;
+    std::uint64_t accesses = 0;
+    std::uint64_t numViolations = 0;
+};
+
+class MemDepPredictor : private MemDepPredictorState
 {
   public:
+    using State = MemDepPredictorState;
+
     explicit MemDepPredictor(std::size_t entries = 1024,
                              std::uint64_t clear_interval = 32768)
-        : waitBits(entries, false), clearInterval(clear_interval)
-    {}
+        : clearInterval(clear_interval)
+    {
+        waitBits.assign(entries, false);
+    }
 
     /** Should this load wait for older stores? */
     bool
@@ -46,39 +59,14 @@ class MemDepPredictor
 
     std::uint64_t violations() const { return numViolations; }
 
+    void saveState(State &s) const { s = *this; }
+    void restoreState(const State &s) { State::operator=(s); }
+
   private:
     std::size_t index(Addr pc) const { return (pc >> 2) % waitBits.size(); }
 
-    std::vector<bool> waitBits;
     // lvplint: allow(state-snapshot) -- construction-time config
     std::uint64_t clearInterval;
-    std::uint64_t accesses = 0;
-    std::uint64_t numViolations = 0;
-
-  public:
-    /** Mutable state only; clear interval comes from the constructor. */
-    struct Snapshot
-    {
-        std::vector<bool> waitBits;
-        std::uint64_t accesses = 0;
-        std::uint64_t numViolations = 0;
-    };
-
-    void
-    saveState(Snapshot &s) const
-    {
-        s.waitBits = waitBits;
-        s.accesses = accesses;
-        s.numViolations = numViolations;
-    }
-
-    void
-    restoreState(const Snapshot &s)
-    {
-        waitBits = s.waitBits;
-        accesses = s.accesses;
-        numViolations = s.numViolations;
-    }
 };
 
 } // namespace mem

@@ -18,13 +18,34 @@ namespace lvpsim
 namespace mem
 {
 
-class StridePrefetcher
+/** StridePrefetcher's checkpointed state; degree comes from the
+ *  constructor. */
+struct StridePrefetcherState
+{
+    struct Entry
+    {
+        bool valid = false;
+        std::uint16_t tag = 0;
+        Addr lastAddr = 0;
+        std::int64_t stride = 0;
+        std::uint8_t conf = 0;
+    };
+
+    std::vector<Entry> table;
+    std::uint64_t numIssued = 0;
+};
+
+class StridePrefetcher : private StridePrefetcherState
 {
   public:
+    using State = StridePrefetcherState;
+
     explicit StridePrefetcher(std::size_t entries = 64,
                               unsigned degree = 2)
-        : table(entries), prefetchDegree(degree)
-    {}
+        : prefetchDegree(degree)
+    {
+        table.resize(entries);
+    }
 
     /**
      * Observe a demand access; fills @p out with up to degree
@@ -64,42 +85,12 @@ class StridePrefetcher
     std::uint64_t issued() const { return numIssued; }
     void countIssued(std::uint64_t n) { numIssued += n; }
 
-  private:
-    struct Entry
-    {
-        bool valid = false;
-        std::uint16_t tag = 0;
-        Addr lastAddr = 0;
-        std::int64_t stride = 0;
-        std::uint8_t conf = 0;
-    };
+    void saveState(State &s) const { s = *this; }
+    void restoreState(const State &s) { State::operator=(s); }
 
-    std::vector<Entry> table;
+  private:
     // lvplint: allow(state-snapshot) -- construction-time config
     unsigned prefetchDegree;
-    std::uint64_t numIssued = 0;
-
-  public:
-    /** Mutable state only; degree comes from the constructor. */
-    struct Snapshot
-    {
-        std::vector<Entry> table;
-        std::uint64_t numIssued = 0;
-    };
-
-    void
-    saveState(Snapshot &s) const
-    {
-        s.table = table;
-        s.numIssued = numIssued;
-    }
-
-    void
-    restoreState(const Snapshot &s)
-    {
-        table = s.table;
-        numIssued = s.numIssued;
-    }
 };
 
 } // namespace mem

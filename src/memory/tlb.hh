@@ -17,15 +17,34 @@ namespace lvpsim
 namespace mem
 {
 
-class Tlb
+/** Tlb's checkpointed state; geometry comes from the constructor. */
+struct TlbState
+{
+    struct Way
+    {
+        bool valid = false;
+        Addr vpn = 0;
+        std::uint64_t lastUse = 0;
+    };
+
+    std::vector<Way> sets;
+    std::uint64_t useClock = 0;
+    std::uint64_t numHits = 0;
+    std::uint64_t numMisses = 0;
+};
+
+class Tlb : private TlbState
 {
   public:
+    using State = TlbState;
+
     explicit Tlb(std::size_t entries = 512, unsigned assoc = 8,
                  unsigned page_shift = 12, Cycle walk_latency = 20)
         : numSets(entries / assoc), numWays(assoc),
-          pageShift(page_shift), walkLat(walk_latency),
-          sets(entries)
-    {}
+          pageShift(page_shift), walkLat(walk_latency)
+    {
+        sets.resize(entries);
+    }
 
     /** Touch the page of @p addr; returns extra latency (0 on hit). */
     Cycle
@@ -61,14 +80,10 @@ class Tlb
     std::uint64_t hits() const { return numHits; }
     std::uint64_t misses() const { return numMisses; }
 
-  private:
-    struct Way
-    {
-        bool valid = false;
-        Addr vpn = 0;
-        std::uint64_t lastUse = 0;
-    };
+    void saveState(State &s) const { s = *this; }
+    void restoreState(const State &s) { State::operator=(s); }
 
+  private:
     // lvplint: allow(state-snapshot) -- construction-time geometry
     std::size_t numSets;
     // lvplint: allow(state-snapshot) -- construction-time geometry
@@ -77,38 +92,6 @@ class Tlb
     unsigned pageShift;
     // lvplint: allow(state-snapshot) -- construction-time latency
     Cycle walkLat;
-    std::vector<Way> sets;
-    std::uint64_t useClock = 0;
-    std::uint64_t numHits = 0;
-    std::uint64_t numMisses = 0;
-
-  public:
-    /** Mutable state only; geometry comes from the constructor. */
-    struct Snapshot
-    {
-        std::vector<Way> sets;
-        std::uint64_t useClock = 0;
-        std::uint64_t numHits = 0;
-        std::uint64_t numMisses = 0;
-    };
-
-    void
-    saveState(Snapshot &s) const
-    {
-        s.sets = sets;
-        s.useClock = useClock;
-        s.numHits = numHits;
-        s.numMisses = numMisses;
-    }
-
-    void
-    restoreState(const Snapshot &s)
-    {
-        sets = s.sets;
-        useClock = s.useClock;
-        numHits = s.numHits;
-        numMisses = s.numMisses;
-    }
 };
 
 } // namespace mem

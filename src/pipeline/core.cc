@@ -1047,73 +1047,25 @@ Core::dumpSubstrateStats(std::ostream &os) const
 // --------------------------------------------------------------------
 
 void
-Core::saveState(Snapshot &s) const
+Core::saveState(State &s) const
 {
     memory.saveState(s.memory);
     memdep.saveState(s.memdep);
     tage.saveState(s.tage);
     ittage.saveState(s.ittage);
     ras.saveState(s.ras);
-
-    s.now = now;
-    s.fetchIdx = fetchIdx;
-    s.contextIdx = contextIdx;
-    s.fetchResumeCycle = fetchResumeCycle;
-    s.fetchHalted = fetchHalted;
-    s.fetchFrozen = fetchFrozen;
-    s.vpActive = vpActive;
-    s.nextSeq = nextSeq;
-    s.nextToken = nextToken;
-    s.committed = committed;
-    s.issuedNotDone = issuedNotDone;
-
-    s.rob = rob;
-    s.fetchBuf = fetchBuf;
-    s.paq = paq;
-    s.ldq = ldq;
-    s.stq = stq;
-    s.iqCount = iqCount;
-    s.specLoadsInFlight = specLoadsInFlight;
-    s.lastWriter = lastWriter;
-    s.inflightLoadPcs = inflightLoadPcs;
-    s.refetchStash = refetchStash;
-
-    s.stats = stats;
+    s.pipeline = *this;
 }
 
 void
-Core::restoreState(const Snapshot &s)
+Core::restoreState(const State &s)
 {
     memory.restoreState(s.memory);
     memdep.restoreState(s.memdep);
     tage.restoreState(s.tage);
     ittage.restoreState(s.ittage);
     ras.restoreState(s.ras);
-
-    now = s.now;
-    fetchIdx = s.fetchIdx;
-    contextIdx = s.contextIdx;
-    fetchResumeCycle = s.fetchResumeCycle;
-    fetchHalted = s.fetchHalted;
-    fetchFrozen = s.fetchFrozen;
-    vpActive = s.vpActive;
-    nextSeq = s.nextSeq;
-    nextToken = s.nextToken;
-    committed = s.committed;
-    issuedNotDone = s.issuedNotDone;
-
-    rob = s.rob;
-    fetchBuf = s.fetchBuf;
-    paq = s.paq;
-    ldq = s.ldq;
-    stq = s.stq;
-    iqCount = s.iqCount;
-    specLoadsInFlight = s.specLoadsInFlight;
-    lastWriter = s.lastWriter;
-    inflightLoadPcs = s.inflightLoadPcs;
-    refetchStash = s.refetchStash;
-
-    stats = s.stats;
+    PipelineState::operator=(s.pipeline);
 }
 
 } // namespace pipe

@@ -68,7 +68,109 @@ struct CommitRecord
     Value value = 0;
 };
 
-class Core
+/**
+ * The core's own checkpointed state: clocks, fetch cursor, queues,
+ * rename map and statistics. Core holds it as a private base; the
+ * substrate it owns checkpoints through Core::State.
+ */
+struct PipelineState
+{
+    struct Inflight
+    {
+        std::uint32_t traceIdx = 0;
+        InstSeqNum seq = 0;
+        Cycle fetchCycle = 0;
+        Cycle minIssueCycle = 0;
+        Cycle doneCycle = 0;
+        Cycle sleepUntil = 0; ///< dependency wake-up hint (issue scan)
+        bool inIQ = false;
+        bool issued = false;
+        bool done = false;
+
+        std::array<InstSeqNum, 3> depSeq{0, 0, 0};
+
+        bool branchMispredicted = false;
+
+        Prediction pred{};
+        std::uint64_t token = 0;
+        bool vpDelivered = false; ///< value reached the VPE
+        Cycle vpReadyCycle = 0;
+        bool vpWrong = false;
+        bool paqPending = false;
+
+        bool speculativeLoad = false; ///< issued past unresolved store
+    };
+
+    struct PaqEntry
+    {
+        InstSeqNum seq = 0;
+        Addr addr = 0;
+    };
+
+    /** LDQ/STQ bookkeeping record (addresses known from the trace). */
+    struct MemQEntry
+    {
+        InstSeqNum seq = 0;
+        Addr addr = 0;
+        unsigned size = 0;
+    };
+
+    struct StashedPrediction
+    {
+        std::uint64_t token = 0;
+        Prediction pred{};
+    };
+
+    Cycle now = 0;
+    std::uint64_t fetchIdx = 0;
+    std::uint64_t contextIdx = 0; ///< history advanced for idx < this
+    Cycle fetchResumeCycle = 0;
+    bool fetchHalted = false; ///< mispredicted branch in flight
+    bool fetchFrozen = false; ///< warmup drain: no new fetches
+    bool vpActive = true;     ///< false during the warmup region
+    InstSeqNum nextSeq = 1;
+    std::uint64_t nextToken = 1;
+    std::uint64_t committed = 0;
+    std::uint64_t issuedNotDone = 0;
+
+    // Pipeline queues: fixed-capacity rings sized from cfg in the
+    // constructor, so the steady-state cycle loop never allocates
+    // (see docs/performance.md).
+    RingBuffer<Inflight> rob;
+    RingBuffer<Inflight> fetchBuf;
+    RingBuffer<PaqEntry> paq;
+    RingBuffer<MemQEntry> ldq;
+    RingBuffer<MemQEntry> stq;
+    unsigned iqCount = 0;
+    /// Issued loads that speculated past an unresolved older store
+    /// and have not yet committed or squashed. Store issue only needs
+    /// to scan the LDQ for order violations while this is non-zero.
+    std::uint64_t specLoadsInFlight = 0;
+    std::array<InstSeqNum, numArchRegs> lastWriter{};
+    FlatMap<Addr, unsigned> inflightLoadPcs;
+
+    /**
+     * Predictions of squashed loads, keyed by trace index. Real
+     * hardware checkpoints and restores the branch/path histories on
+     * a flush, so a re-fetched load sees the same context and gets
+     * the same prediction; we model that by reusing the first-fetch
+     * prediction (and its live predictor token) instead of re-probing
+     * with a polluted history.
+     */
+    FlatMap<std::uint64_t, StashedPrediction> refetchStash;
+
+    SimStats stats;
+};
+
+/**
+ * The longest trace a Core can run: an in-flight instruction (and
+ * the checkpoint format) holds its trace index in
+ * PipelineState::Inflight::traceIdx.
+ */
+constexpr std::uint64_t kMaxTraceLength = std::numeric_limits<
+    decltype(PipelineState::Inflight::traceIdx)>::max();
+
+class Core : private PipelineState
 {
   public:
     /**
@@ -153,47 +255,27 @@ class Core
     using ProgressHook = std::function<void(std::uint64_t)>;
     void setProgressHook(std::uint64_t every, ProgressHook fn);
 
+    /**
+     * The complete checkpointed state of the core and its substrate
+     * (memory hierarchy, branch predictors, pipeline). restoreState()
+     * into a core built with the *same* CoreConfig and trace resumes
+     * execution bit-identically; the attached value predictor is
+     * external wiring and is not part of it. See sim::SimCheckpoint.
+     */
+    struct State
+    {
+        mem::MemoryHierarchy::State memory;
+        mem::MemDepPredictor::State memdep;
+        branch::Tage::State tage;
+        branch::Ittage::State ittage;
+        branch::ReturnAddressStack::State ras;
+        PipelineState pipeline;
+    };
+
+    void saveState(State &s) const;
+    void restoreState(const State &s);
+
   private:
-    struct Inflight
-    {
-        std::uint32_t traceIdx = 0;
-        InstSeqNum seq = 0;
-        Cycle fetchCycle = 0;
-        Cycle minIssueCycle = 0;
-        Cycle doneCycle = 0;
-        Cycle sleepUntil = 0; ///< dependency wake-up hint (issue scan)
-        bool inIQ = false;
-        bool issued = false;
-        bool done = false;
-
-        std::array<InstSeqNum, 3> depSeq{0, 0, 0};
-
-        bool branchMispredicted = false;
-
-        Prediction pred{};
-        std::uint64_t token = 0;
-        bool vpDelivered = false; ///< value reached the VPE
-        Cycle vpReadyCycle = 0;
-        bool vpWrong = false;
-        bool paqPending = false;
-
-        bool speculativeLoad = false; ///< issued past unresolved store
-    };
-
-    struct PaqEntry
-    {
-        InstSeqNum seq = 0;
-        Addr addr = 0;
-    };
-
-    /** LDQ/STQ bookkeeping record (addresses known from the trace). */
-    struct MemQEntry
-    {
-        InstSeqNum seq = 0;
-        Addr addr = 0;
-        unsigned size = 0;
-    };
-
     const trace::MicroOp &opOf(const Inflight &f) const
     {
         return code[f.traceIdx];
@@ -258,49 +340,6 @@ class Core
     branch::Ittage ittage;
     branch::ReturnAddressStack ras;
 
-    Cycle now = 0;
-    std::uint64_t fetchIdx = 0;
-    std::uint64_t contextIdx = 0; ///< history advanced for idx < this
-    Cycle fetchResumeCycle = 0;
-    bool fetchHalted = false; ///< mispredicted branch in flight
-    bool fetchFrozen = false; ///< warmup drain: no new fetches
-    bool vpActive = true;     ///< false during the warmup region
-    InstSeqNum nextSeq = 1;
-    std::uint64_t nextToken = 1;
-    std::uint64_t committed = 0;
-    std::uint64_t issuedNotDone = 0;
-
-    // Pipeline queues: fixed-capacity rings sized from cfg in the
-    // constructor, so the steady-state cycle loop never allocates
-    // (see docs/performance.md).
-    RingBuffer<Inflight> rob;
-    RingBuffer<Inflight> fetchBuf;
-    RingBuffer<PaqEntry> paq;
-    RingBuffer<MemQEntry> ldq;
-    RingBuffer<MemQEntry> stq;
-    unsigned iqCount = 0;
-    /// Issued loads that speculated past an unresolved older store
-    /// and have not yet committed or squashed. Store issue only needs
-    /// to scan the LDQ for order violations while this is non-zero.
-    std::uint64_t specLoadsInFlight = 0;
-    std::array<InstSeqNum, numArchRegs> lastWriter{};
-    FlatMap<Addr, unsigned> inflightLoadPcs;
-
-    /**
-     * Predictions of squashed loads, keyed by trace index. Real
-     * hardware checkpoints and restores the branch/path histories on
-     * a flush, so a re-fetched load sees the same context and gets
-     * the same prediction; we model that by reusing the first-fetch
-     * prediction (and its live predictor token) instead of re-probing
-     * with a polluted history.
-     */
-    struct StashedPrediction
-    {
-        std::uint64_t token = 0;
-        Prediction pred{};
-    };
-    FlatMap<std::uint64_t, StashedPrediction> refetchStash;
-
     /**
      * Upper bound on in-flight instructions (ROB plus fetch buffer):
      * sizes inflightLoadPcs/refetchStash and bounds the predictor's
@@ -321,58 +360,11 @@ class Core
     ProgressHook progressHook;
     // lvplint: allow(state-snapshot) -- reporting cadence, not model state
     std::uint64_t progressEvery = 0;
-    // Derived from progressEvery at install time and recomputed by
-    // setProgressHook after any restore.
+    // lvplint: allow(state-snapshot) -- derived from progressEvery
+    // at install time and recomputed by setProgressHook after any
+    // restore
     std::uint64_t nextProgressAt =
         std::numeric_limits<std::uint64_t>::max();
-
-    SimStats stats;
-
-  public:
-    /**
-     * The complete mutable state of the core and its substrate
-     * (memory hierarchy, branch predictors, queues, rename map,
-     * statistics). restoreState() into a core built with the *same*
-     * CoreConfig and trace resumes execution bit-identically; the
-     * attached value predictor is external wiring and is not part of
-     * the snapshot. See sim::SimCheckpoint.
-     */
-    struct Snapshot
-    {
-        mem::MemoryHierarchy::Snapshot memory;
-        mem::MemDepPredictor::Snapshot memdep;
-        branch::Tage::Snapshot tage;
-        branch::Ittage::Snapshot ittage;
-        branch::ReturnAddressStack::Snapshot ras;
-
-        Cycle now = 0;
-        std::uint64_t fetchIdx = 0;
-        std::uint64_t contextIdx = 0;
-        Cycle fetchResumeCycle = 0;
-        bool fetchHalted = false;
-        bool fetchFrozen = false;
-        bool vpActive = true;
-        InstSeqNum nextSeq = 1;
-        std::uint64_t nextToken = 1;
-        std::uint64_t committed = 0;
-        std::uint64_t issuedNotDone = 0;
-
-        RingBuffer<Inflight> rob;
-        RingBuffer<Inflight> fetchBuf;
-        RingBuffer<PaqEntry> paq;
-        RingBuffer<MemQEntry> ldq;
-        RingBuffer<MemQEntry> stq;
-        unsigned iqCount = 0;
-        std::uint64_t specLoadsInFlight = 0;
-        std::array<InstSeqNum, numArchRegs> lastWriter{};
-        FlatMap<Addr, unsigned> inflightLoadPcs;
-        FlatMap<std::uint64_t, StashedPrediction> refetchStash;
-
-        SimStats stats;
-    };
-
-    void saveState(Snapshot &s) const;
-    void restoreState(const Snapshot &s);
 };
 
 } // namespace pipe

@@ -1,5 +1,6 @@
 #include "pipeline/snapshot_io.hh"
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -15,51 +16,23 @@ namespace pipe
 namespace
 {
 
-// The element structs behind several snapshot containers (cache
-// lines, TAGE entries, the core's Inflight records, ...) are private
-// nested types of their owning class. The helpers below deduce them
-// from the (public) snapshot members instead of naming them, which
-// keeps the types private without a friend declaration in every
-// header.
+// Containers whose decoder must validate a layout before building it
+// (rings, flat maps, folded and raw histories, the RNG) get an
+// encode/decode overload pair; every State below is one io body.
 
-template <typename T, typename PutFn>
+template <typename T, typename Field>
 void
-putVec(BinWriter &w, const std::vector<T> &v, PutFn put)
-{
-    w.u64(v.size());
-    for (const auto &e : v)
-        put(w, e);
-}
-
-/** @p minBytesPerElem bounds allocation from a corrupt length field. */
-template <typename T, typename GetFn>
-void
-getVec(BinReader &r, std::vector<T> &v, std::size_t minBytesPerElem,
-       GetFn get)
-{
-    const std::size_t n = r.count(minBytesPerElem);
-    v.clear();
-    v.resize(n);
-    for (auto &e : v) {
-        get(r, e);
-        if (!r.ok())
-            return;
-    }
-}
-
-template <typename T, typename PutFn>
-void
-putRing(BinWriter &w, const RingBuffer<T> &rb, PutFn put)
+ring(BinWriter &w, RingBuffer<T> &rb, Field field)
 {
     w.u64(rb.capacity());
     w.u64(rb.size());
     for (std::size_t i = 0; i < rb.size(); ++i)
-        put(w, rb[i]);
+        field(w, rb[i]);
 }
 
-template <typename T, typename GetFn>
+template <typename T, typename Field>
 void
-getRing(BinReader &r, RingBuffer<T> &rb, GetFn get)
+ring(BinReader &r, RingBuffer<T> &rb, Field field)
 {
     constexpr std::uint64_t maxCapacity = std::uint64_t(1) << 20;
     const std::uint64_t cap = r.u64();
@@ -72,16 +45,16 @@ getRing(BinReader &r, RingBuffer<T> &rb, GetFn get)
     rb.configure(static_cast<std::size_t>(cap));
     for (std::size_t i = 0; i < n; ++i) {
         T e{};
-        get(r, e);
+        field(r, e);
         if (!r.ok())
             return;
         rb.push_back(std::move(e));
     }
 }
 
-template <typename K, typename V, typename H, typename PutFn>
+template <typename K, typename V, typename H, typename Field>
 void
-putMap(BinWriter &w, const FlatMap<K, V, H> &m, PutFn putVal)
+map(BinWriter &w, FlatMap<K, V, H> &m, Field field)
 {
     const auto &slots = m.rawSlots();
     const auto &used = m.rawUsed();
@@ -90,15 +63,15 @@ putMap(BinWriter &w, const FlatMap<K, V, H> &m, PutFn putVal)
     for (std::size_t i = 0; i < slots.size(); ++i) {
         w.u8(used[i]);
         if (used[i]) {
-            w.u64(static_cast<std::uint64_t>(slots[i].first));
-            putVal(w, slots[i].second);
+            w.u64(slots[i].first);
+            field(w, const_cast<V &>(slots[i].second));
         }
     }
 }
 
-template <typename K, typename V, typename H, typename GetFn>
+template <typename K, typename V, typename H, typename Field>
 void
-getMap(BinReader &r, FlatMap<K, V, H> &m, GetFn getVal)
+map(BinReader &r, FlatMap<K, V, H> &m, Field field)
 {
     const std::size_t cap = r.count(1);
     const std::uint64_t live = r.u64();
@@ -121,8 +94,8 @@ getMap(BinReader &r, FlatMap<K, V, H> &m, GetFn getVal)
         }
         used[i] = u;
         if (u != 0) {
-            slots[i].first = static_cast<K>(r.u64());
-            getVal(r, slots[i].second);
+            r.u64(slots[i].first);
+            field(r, slots[i].second);
             ++seen;
         }
         if (!r.ok())
@@ -137,7 +110,7 @@ getMap(BinReader &r, FlatMap<K, V, H> &m, GetFn getVal)
 }
 
 void
-putFolds(BinWriter &w, const std::vector<branch::FoldedHistory> &v)
+io(BinWriter &w, std::vector<branch::FoldedHistory> &v)
 {
     w.u64(v.size());
     for (const auto &f : v) {
@@ -148,7 +121,7 @@ putFolds(BinWriter &w, const std::vector<branch::FoldedHistory> &v)
 }
 
 void
-getFolds(BinReader &r, std::vector<branch::FoldedHistory> &v)
+io(BinReader &r, std::vector<branch::FoldedHistory> &v)
 {
     const std::size_t n = r.count(12);
     v.clear();
@@ -170,7 +143,7 @@ getFolds(BinReader &r, std::vector<branch::FoldedHistory> &v)
 }
 
 void
-putHistoryRing(BinWriter &w, const branch::HistoryRing &h)
+io(BinWriter &w, branch::HistoryRing &h)
 {
     w.u64(h.rawBits().size());
     w.u64(h.rawHead());
@@ -178,7 +151,7 @@ putHistoryRing(BinWriter &w, const branch::HistoryRing &h)
 }
 
 void
-getHistoryRing(BinReader &r, branch::HistoryRing &h)
+io(BinReader &r, branch::HistoryRing &h)
 {
     const std::size_t n = r.count(1);
     const std::uint64_t head = r.u64();
@@ -199,14 +172,14 @@ getHistoryRing(BinReader &r, branch::HistoryRing &h)
 }
 
 void
-putRng(BinWriter &w, const Xoshiro256 &g)
+io(BinWriter &w, Xoshiro256 &g)
 {
     for (const std::uint64_t word : g.rawState())
         w.u64(word);
 }
 
 void
-getRng(BinReader &r, Xoshiro256 &g)
+io(BinReader &r, Xoshiro256 &g)
 {
     std::array<std::uint64_t, 4> st;
     for (auto &word : st)
@@ -215,358 +188,236 @@ getRng(BinReader &r, Xoshiro256 &g)
         g.restoreRaw(st);
 }
 
+template <class Ar>
 void
-putPrediction(BinWriter &w, const Prediction &p)
+io(Ar &ar, Prediction &p)
 {
-    w.u8(static_cast<std::uint8_t>(p.kind));
-    w.u64(p.value);
-    w.u64(p.addr);
-    w.i8(static_cast<std::int8_t>(p.component));
+    ar.u8(p.kind);
+    ar.check(p.kind <= Prediction::Kind::Address);
+    ar.u64(p.value);
+    ar.u64(p.addr);
+    ar.i8(p.component);
+    ar.check(p.component >= ComponentId::None &&
+             p.component <= ComponentId::Other);
 }
 
+template <class Ar>
 void
-getPrediction(BinReader &r, Prediction &p)
+io(Ar &ar, mem::CacheState &s)
 {
-    const std::uint8_t k = r.u8();
-    if (k > static_cast<std::uint8_t>(Prediction::Kind::Address)) {
-        r.fail();
-        return;
-    }
-    p.kind = static_cast<Prediction::Kind>(k);
-    p.value = r.u64();
-    p.addr = r.u64();
-    const std::int8_t c = r.i8();
-    if (c < static_cast<std::int8_t>(ComponentId::None) ||
-        c > static_cast<std::int8_t>(ComponentId::Other)) {
-        r.fail();
-        return;
-    }
-    p.component = static_cast<ComponentId>(c);
+    ar.vec(s.lines, 18, [](auto &a, auto &l) {
+        a.b(l.valid);
+        a.b(l.dirty);
+        a.u64(l.tag);
+        a.u64(l.lastUse);
+    });
+    ar.u64(s.useClock);
+    ar.u64(s.numHits);
+    ar.u64(s.numMisses);
 }
 
-/** Core::Inflight, deduced (the type is private to Core). */
-template <typename E>
+template <class Ar>
 void
-putInflight(BinWriter &w, const E &e)
+io(Ar &ar, mem::TlbState &s)
 {
-    w.u32(e.traceIdx);
-    w.u64(e.seq);
-    w.u64(e.fetchCycle);
-    w.u64(e.minIssueCycle);
-    w.u64(e.doneCycle);
-    w.u64(e.sleepUntil);
-    w.b(e.inIQ);
-    w.b(e.issued);
-    w.b(e.done);
-    for (const auto d : e.depSeq)
-        w.u64(d);
-    w.b(e.branchMispredicted);
-    putPrediction(w, e.pred);
-    w.u64(e.token);
-    w.b(e.vpDelivered);
-    w.u64(e.vpReadyCycle);
-    w.b(e.vpWrong);
-    w.b(e.paqPending);
-    w.b(e.speculativeLoad);
+    ar.vec(s.sets, 17, [](auto &a, auto &way) {
+        a.b(way.valid);
+        a.u64(way.vpn);
+        a.u64(way.lastUse);
+    });
+    ar.u64(s.useClock);
+    ar.u64(s.numHits);
+    ar.u64(s.numMisses);
 }
 
-template <typename E>
+template <class Ar>
 void
-getInflight(BinReader &r, E &e)
+io(Ar &ar, mem::StridePrefetcherState &s)
 {
-    e.traceIdx = r.u32();
-    e.seq = r.u64();
-    e.fetchCycle = r.u64();
-    e.minIssueCycle = r.u64();
-    e.doneCycle = r.u64();
-    e.sleepUntil = r.u64();
-    e.inIQ = r.b();
-    e.issued = r.b();
-    e.done = r.b();
+    ar.vec(s.table, 20, [](auto &a, auto &e) {
+        a.b(e.valid);
+        a.u16(e.tag);
+        a.u64(e.lastAddr);
+        a.i64(e.stride);
+        a.u8(e.conf);
+    });
+    ar.u64(s.numIssued);
+}
+
+template <class Ar>
+void
+io(Ar &ar, mem::MemDepPredictorState &s)
+{
+    ar.vec(s.waitBits, 1, [](auto &a, auto &&bit) { a.b(bit); });
+    ar.u64(s.accesses);
+    ar.u64(s.numViolations);
+}
+
+template <class Ar>
+void
+io(Ar &ar, mem::MemoryHierarchy::State &s)
+{
+    io(ar, s.icache);
+    io(ar, s.dcache);
+    io(ar, s.l2cache);
+    io(ar, s.l3cache);
+    io(ar, s.dtlb);
+    io(ar, s.pf);
+}
+
+template <class Ar>
+void
+io(Ar &ar, branch::TageState &s)
+{
+    ar.vec(s.base, 1, [](auto &a, auto &c) { a.i8(c); });
+    ar.vec(s.tables, 8, [](auto &a, auto &table) {
+        a.vec(table, 5, [](auto &a2, auto &e) {
+            a2.u16(e.tag);
+            a2.i8(e.ctr);
+            a2.u8(e.useful);
+            a2.b(e.valid);
+        });
+    });
+    io(ar, s.foldIdx);
+    io(ar, s.foldTag1);
+    io(ar, s.foldTag2);
+    io(ar, s.ring);
+    ar.u64(s.pathHist);
+    io(ar, s.rng);
+    ar.i64(s.providerTable);
+    ar.i64(s.altTable);
+    ar.b(s.providerPred);
+    ar.b(s.altPred);
+    ar.b(s.lastPrediction);
+    ar.u64(s.lastPc);
+    ar.u64(s.numLookups);
+    ar.u64(s.numMispredicts);
+}
+
+template <class Ar>
+void
+io(Ar &ar, branch::IttageState &s)
+{
+    ar.vec(s.base, 8, [](auto &a, auto &target) { a.u64(target); });
+    ar.vec(s.tables, 8, [](auto &a, auto &table) {
+        a.vec(table, 13, [](auto &a2, auto &e) {
+            a2.b(e.valid);
+            a2.u16(e.tag);
+            a2.u64(e.target);
+            a2.u8(e.conf);
+            a2.u8(e.useful);
+        });
+    });
+    io(ar, s.foldIdx);
+    io(ar, s.foldTag);
+    io(ar, s.ring);
+    io(ar, s.rng);
+    ar.i64(s.providerTable);
+    ar.u64(s.lastPrediction);
+    ar.u64(s.lastPc);
+    ar.u64(s.numLookups);
+    ar.u64(s.numMispredicts);
+}
+
+template <class Ar>
+void
+io(Ar &ar, branch::ReturnAddressStackState &s)
+{
+    ar.vec(s.entries, 8, [](auto &a, auto &addr) { a.u64(addr); });
+    ar.u64(s.top);
+    ar.u64(s.count);
+    ar.check(s.entries.empty()
+                 ? s.top == 0 && s.count == 0
+                 : s.top < s.entries.size() &&
+                       s.count <= s.entries.size());
+}
+
+template <class Ar>
+void
+io(Ar &ar, PipelineState::Inflight &e)
+{
+    ar.u32(e.traceIdx);
+    ar.u64(e.seq);
+    ar.u64(e.fetchCycle);
+    ar.u64(e.minIssueCycle);
+    ar.u64(e.doneCycle);
+    ar.u64(e.sleepUntil);
+    ar.b(e.inIQ);
+    ar.b(e.issued);
+    ar.b(e.done);
     for (auto &d : e.depSeq)
-        d = r.u64();
-    e.branchMispredicted = r.b();
-    getPrediction(r, e.pred);
-    e.token = r.u64();
-    e.vpDelivered = r.b();
-    e.vpReadyCycle = r.u64();
-    e.vpWrong = r.b();
-    e.paqPending = r.b();
-    e.speculativeLoad = r.b();
+        ar.u64(d);
+    ar.b(e.branchMispredicted);
+    io(ar, e.pred);
+    ar.u64(e.token);
+    ar.b(e.vpDelivered);
+    ar.u64(e.vpReadyCycle);
+    ar.b(e.vpWrong);
+    ar.b(e.paqPending);
+    ar.b(e.speculativeLoad);
+}
+
+template <class Ar>
+void
+io(Ar &ar, PipelineState &s)
+{
+    ar.u64(s.now);
+    ar.u64(s.fetchIdx);
+    ar.u64(s.contextIdx);
+    ar.u64(s.fetchResumeCycle);
+    ar.b(s.fetchHalted);
+    ar.b(s.fetchFrozen);
+    ar.b(s.vpActive);
+    ar.u64(s.nextSeq);
+    ar.u64(s.nextToken);
+    ar.u64(s.committed);
+    ar.u64(s.issuedNotDone);
+
+    const auto inflight = [](auto &a, auto &e) { io(a, e); };
+    ring(ar, s.rob, inflight);
+    ring(ar, s.fetchBuf, inflight);
+    ring(ar, s.paq, [](auto &a, auto &e) {
+        a.u64(e.seq);
+        a.u64(e.addr);
+    });
+    const auto memQ = [](auto &a, auto &e) {
+        a.u64(e.seq);
+        a.u64(e.addr);
+        a.u32(e.size);
+    };
+    ring(ar, s.ldq, memQ);
+    ring(ar, s.stq, memQ);
+    ar.u32(s.iqCount);
+    ar.u64(s.specLoadsInFlight);
+    for (auto &seq : s.lastWriter)
+        ar.u64(seq);
+    map(ar, s.inflightLoadPcs, [](auto &a, auto &v) { a.u32(v); });
+    map(ar, s.refetchStash, [](auto &a, auto &v) {
+        a.u64(v.token);
+        io(a, v.pred);
+    });
+    io(ar, s.stats);
 }
 
 } // namespace
 
+template <class Ar>
 void
-serializeSnapshot(BinWriter &w, const mem::Cache::Snapshot &s)
+io(Ar &ar, Core::State &s)
 {
-    putVec(w, s.lines, [](BinWriter &wr, const auto &l) {
-        wr.b(l.valid);
-        wr.b(l.dirty);
-        wr.u64(l.tag);
-        wr.u64(l.lastUse);
-    });
-    w.u64(s.useClock);
-    w.u64(s.numHits);
-    w.u64(s.numMisses);
+    io(ar, s.memory);
+    io(ar, s.memdep);
+    io(ar, s.tage);
+    io(ar, s.ittage);
+    io(ar, s.ras);
+    io(ar, s.pipeline);
 }
 
-void
-deserializeSnapshot(BinReader &r, mem::Cache::Snapshot &s)
-{
-    getVec(r, s.lines, 18, [](BinReader &rd, auto &l) {
-        l.valid = rd.b();
-        l.dirty = rd.b();
-        l.tag = rd.u64();
-        l.lastUse = rd.u64();
-    });
-    s.useClock = r.u64();
-    s.numHits = r.u64();
-    s.numMisses = r.u64();
-}
+template void io(BinWriter &, Core::State &);
+template void io(BinReader &, Core::State &);
 
 void
-serializeSnapshot(BinWriter &w, const mem::Tlb::Snapshot &s)
-{
-    putVec(w, s.sets, [](BinWriter &wr, const auto &way) {
-        wr.b(way.valid);
-        wr.u64(way.vpn);
-        wr.u64(way.lastUse);
-    });
-    w.u64(s.useClock);
-    w.u64(s.numHits);
-    w.u64(s.numMisses);
-}
-
-void
-deserializeSnapshot(BinReader &r, mem::Tlb::Snapshot &s)
-{
-    getVec(r, s.sets, 17, [](BinReader &rd, auto &way) {
-        way.valid = rd.b();
-        way.vpn = rd.u64();
-        way.lastUse = rd.u64();
-    });
-    s.useClock = r.u64();
-    s.numHits = r.u64();
-    s.numMisses = r.u64();
-}
-
-void
-serializeSnapshot(BinWriter &w, const mem::StridePrefetcher::Snapshot &s)
-{
-    putVec(w, s.table, [](BinWriter &wr, const auto &e) {
-        wr.b(e.valid);
-        wr.u16(e.tag);
-        wr.u64(e.lastAddr);
-        wr.i64(e.stride);
-        wr.u8(e.conf);
-    });
-    w.u64(s.numIssued);
-}
-
-void
-deserializeSnapshot(BinReader &r, mem::StridePrefetcher::Snapshot &s)
-{
-    getVec(r, s.table, 20, [](BinReader &rd, auto &e) {
-        e.valid = rd.b();
-        e.tag = rd.u16();
-        e.lastAddr = rd.u64();
-        e.stride = rd.i64();
-        e.conf = rd.u8();
-    });
-    s.numIssued = r.u64();
-}
-
-void
-serializeSnapshot(BinWriter &w, const mem::MemDepPredictor::Snapshot &s)
-{
-    w.u64(s.waitBits.size());
-    for (const bool bit : s.waitBits)
-        w.b(bit);
-    w.u64(s.accesses);
-    w.u64(s.numViolations);
-}
-
-void
-deserializeSnapshot(BinReader &r, mem::MemDepPredictor::Snapshot &s)
-{
-    const std::size_t n = r.count(1);
-    s.waitBits.assign(n, false);
-    for (std::size_t i = 0; i < n && r.ok(); ++i)
-        s.waitBits[i] = r.b();
-    s.accesses = r.u64();
-    s.numViolations = r.u64();
-}
-
-void
-serializeSnapshot(BinWriter &w, const mem::MemoryHierarchy::Snapshot &s)
-{
-    serializeSnapshot(w, s.icache);
-    serializeSnapshot(w, s.dcache);
-    serializeSnapshot(w, s.l2cache);
-    serializeSnapshot(w, s.l3cache);
-    serializeSnapshot(w, s.dtlb);
-    serializeSnapshot(w, s.pf);
-}
-
-void
-deserializeSnapshot(BinReader &r, mem::MemoryHierarchy::Snapshot &s)
-{
-    deserializeSnapshot(r, s.icache);
-    deserializeSnapshot(r, s.dcache);
-    deserializeSnapshot(r, s.l2cache);
-    deserializeSnapshot(r, s.l3cache);
-    deserializeSnapshot(r, s.dtlb);
-    deserializeSnapshot(r, s.pf);
-}
-
-void
-serializeSnapshot(BinWriter &w, const branch::Tage::Snapshot &s)
-{
-    putVec(w, s.base,
-           [](BinWriter &wr, const std::int8_t c) { wr.i8(c); });
-    w.u64(s.tables.size());
-    for (const auto &table : s.tables) {
-        putVec(w, table, [](BinWriter &wr, const auto &e) {
-            wr.u16(e.tag);
-            wr.i8(e.ctr);
-            wr.u8(e.useful);
-            wr.b(e.valid);
-        });
-    }
-    putFolds(w, s.foldIdx);
-    putFolds(w, s.foldTag1);
-    putFolds(w, s.foldTag2);
-    putHistoryRing(w, s.ring);
-    w.u64(s.pathHist);
-    putRng(w, s.rng);
-    w.i64(s.providerTable);
-    w.i64(s.altTable);
-    w.b(s.providerPred);
-    w.b(s.altPred);
-    w.b(s.lastPrediction);
-    w.u64(s.lastPc);
-    w.u64(s.numLookups);
-    w.u64(s.numMispredicts);
-}
-
-void
-deserializeSnapshot(BinReader &r, branch::Tage::Snapshot &s)
-{
-    getVec(r, s.base, 1,
-           [](BinReader &rd, std::int8_t &c) { c = rd.i8(); });
-    const std::size_t numTables = r.count(8);
-    s.tables.clear();
-    s.tables.resize(numTables);
-    for (auto &table : s.tables) {
-        getVec(r, table, 5, [](BinReader &rd, auto &e) {
-            e.tag = rd.u16();
-            e.ctr = rd.i8();
-            e.useful = rd.u8();
-            e.valid = rd.b();
-        });
-        if (!r.ok())
-            return;
-    }
-    getFolds(r, s.foldIdx);
-    getFolds(r, s.foldTag1);
-    getFolds(r, s.foldTag2);
-    getHistoryRing(r, s.ring);
-    s.pathHist = r.u64();
-    getRng(r, s.rng);
-    s.providerTable = static_cast<int>(r.i64());
-    s.altTable = static_cast<int>(r.i64());
-    s.providerPred = r.b();
-    s.altPred = r.b();
-    s.lastPrediction = r.b();
-    s.lastPc = r.u64();
-    s.numLookups = r.u64();
-    s.numMispredicts = r.u64();
-}
-
-void
-serializeSnapshot(BinWriter &w, const branch::Ittage::Snapshot &s)
-{
-    putVec(w, s.base,
-           [](BinWriter &wr, const Addr target) { wr.u64(target); });
-    w.u64(s.tables.size());
-    for (const auto &table : s.tables) {
-        putVec(w, table, [](BinWriter &wr, const auto &e) {
-            wr.b(e.valid);
-            wr.u16(e.tag);
-            wr.u64(e.target);
-            wr.u8(e.conf);
-            wr.u8(e.useful);
-        });
-    }
-    putFolds(w, s.foldIdx);
-    putFolds(w, s.foldTag);
-    putHistoryRing(w, s.ring);
-    putRng(w, s.rng);
-    w.i64(s.providerTable);
-    w.u64(s.lastPrediction);
-    w.u64(s.lastPc);
-    w.u64(s.numLookups);
-    w.u64(s.numMispredicts);
-}
-
-void
-deserializeSnapshot(BinReader &r, branch::Ittage::Snapshot &s)
-{
-    getVec(r, s.base, 8,
-           [](BinReader &rd, Addr &target) { target = rd.u64(); });
-    const std::size_t numTables = r.count(8);
-    s.tables.clear();
-    s.tables.resize(numTables);
-    for (auto &table : s.tables) {
-        getVec(r, table, 13, [](BinReader &rd, auto &e) {
-            e.valid = rd.b();
-            e.tag = rd.u16();
-            e.target = rd.u64();
-            e.conf = rd.u8();
-            e.useful = rd.u8();
-        });
-        if (!r.ok())
-            return;
-    }
-    getFolds(r, s.foldIdx);
-    getFolds(r, s.foldTag);
-    getHistoryRing(r, s.ring);
-    getRng(r, s.rng);
-    s.providerTable = static_cast<int>(r.i64());
-    s.lastPrediction = r.u64();
-    s.lastPc = r.u64();
-    s.numLookups = r.u64();
-    s.numMispredicts = r.u64();
-}
-
-void
-serializeSnapshot(BinWriter &w, const branch::ReturnAddressStack::Snapshot &s)
-{
-    putVec(w, s.entries,
-           [](BinWriter &wr, const Addr a) { wr.u64(a); });
-    w.u64(s.top);
-    w.u64(s.count);
-}
-
-void
-deserializeSnapshot(BinReader &r, branch::ReturnAddressStack::Snapshot &s)
-{
-    getVec(r, s.entries, 8,
-           [](BinReader &rd, Addr &a) { a = rd.u64(); });
-    s.top = static_cast<std::size_t>(r.u64());
-    s.count = static_cast<std::size_t>(r.u64());
-    if (!r.ok())
-        return;
-    if ((s.entries.empty() && (s.top != 0 || s.count != 0)) ||
-        (!s.entries.empty() &&
-         (s.top >= s.entries.size() || s.count > s.entries.size()))) {
-        r.fail();
-    }
-}
-
-void
-serializeSnapshot(BinWriter &w, const SimStats &s)
+io(BinWriter &w, SimStats &s)
 {
     std::uint32_t n = 0;
     forEachCounter(s, [&](std::string_view, std::uint64_t) { ++n; });
@@ -578,7 +429,7 @@ serializeSnapshot(BinWriter &w, const SimStats &s)
 }
 
 void
-deserializeSnapshot(BinReader &r, SimStats &s)
+io(BinReader &r, SimStats &s)
 {
     // Hash -> name, from the *current* counter set: a stream written
     // by a binary with different counters fails to match and reads
@@ -613,108 +464,6 @@ deserializeSnapshot(BinReader &r, SimStats &s)
             return;
         }
     }
-}
-
-void
-serializeSnapshot(BinWriter &w, const Core::Snapshot &s)
-{
-    serializeSnapshot(w, s.memory);
-    serializeSnapshot(w, s.memdep);
-    serializeSnapshot(w, s.tage);
-    serializeSnapshot(w, s.ittage);
-    serializeSnapshot(w, s.ras);
-
-    w.u64(s.now);
-    w.u64(s.fetchIdx);
-    w.u64(s.contextIdx);
-    w.u64(s.fetchResumeCycle);
-    w.b(s.fetchHalted);
-    w.b(s.fetchFrozen);
-    w.b(s.vpActive);
-    w.u64(s.nextSeq);
-    w.u64(s.nextToken);
-    w.u64(s.committed);
-    w.u64(s.issuedNotDone);
-
-    const auto putInf = [](BinWriter &wr, const auto &e) {
-        putInflight(wr, e);
-    };
-    putRing(w, s.rob, putInf);
-    putRing(w, s.fetchBuf, putInf);
-    putRing(w, s.paq, [](BinWriter &wr, const auto &e) {
-        wr.u64(e.seq);
-        wr.u64(e.addr);
-    });
-    const auto putMemQ = [](BinWriter &wr, const auto &e) {
-        wr.u64(e.seq);
-        wr.u64(e.addr);
-        wr.u32(e.size);
-    };
-    putRing(w, s.ldq, putMemQ);
-    putRing(w, s.stq, putMemQ);
-    w.u32(s.iqCount);
-    w.u64(s.specLoadsInFlight);
-    for (const InstSeqNum seq : s.lastWriter)
-        w.u64(seq);
-    putMap(w, s.inflightLoadPcs,
-           [](BinWriter &wr, const unsigned v) { wr.u32(v); });
-    putMap(w, s.refetchStash, [](BinWriter &wr, const auto &v) {
-        wr.u64(v.token);
-        putPrediction(wr, v.pred);
-    });
-
-    serializeSnapshot(w, s.stats);
-}
-
-void
-deserializeSnapshot(BinReader &r, Core::Snapshot &s)
-{
-    deserializeSnapshot(r, s.memory);
-    deserializeSnapshot(r, s.memdep);
-    deserializeSnapshot(r, s.tage);
-    deserializeSnapshot(r, s.ittage);
-    deserializeSnapshot(r, s.ras);
-
-    s.now = r.u64();
-    s.fetchIdx = r.u64();
-    s.contextIdx = r.u64();
-    s.fetchResumeCycle = r.u64();
-    s.fetchHalted = r.b();
-    s.fetchFrozen = r.b();
-    s.vpActive = r.b();
-    s.nextSeq = r.u64();
-    s.nextToken = r.u64();
-    s.committed = r.u64();
-    s.issuedNotDone = r.u64();
-
-    const auto getInf = [](BinReader &rd, auto &e) {
-        getInflight(rd, e);
-    };
-    getRing(r, s.rob, getInf);
-    getRing(r, s.fetchBuf, getInf);
-    getRing(r, s.paq, [](BinReader &rd, auto &e) {
-        e.seq = rd.u64();
-        e.addr = rd.u64();
-    });
-    const auto getMemQ = [](BinReader &rd, auto &e) {
-        e.seq = rd.u64();
-        e.addr = rd.u64();
-        e.size = rd.u32();
-    };
-    getRing(r, s.ldq, getMemQ);
-    getRing(r, s.stq, getMemQ);
-    s.iqCount = r.u32();
-    s.specLoadsInFlight = r.u64();
-    for (InstSeqNum &seq : s.lastWriter)
-        seq = r.u64();
-    getMap(r, s.inflightLoadPcs,
-           [](BinReader &rd, unsigned &v) { v = rd.u32(); });
-    getMap(r, s.refetchStash, [](BinReader &rd, auto &v) {
-        v.token = rd.u64();
-        getPrediction(rd, v.pred);
-    });
-
-    deserializeSnapshot(r, s.stats);
 }
 
 } // namespace pipe

@@ -1,20 +1,18 @@
 /**
  * @file
- * Binary (de)serialization of the pipeline checkpoint state — the
- * bridge between `pipe::Core::Snapshot` and the on-disk checkpoint
- * store (src/sim/checkpoint_store.hh, docs/performance.md).
+ * The on-disk checkpoint format: the io codecs that carry a
+ * `pipe::Core::State` through the checkpoint store
+ * (src/sim/checkpoint_store.hh, docs/performance.md).
  *
- * Every substrate snapshot that `Core::Snapshot` aggregates gets an
- * explicit overload pair here, and each overload names every member
- * of its snapshot struct: lvplint's state-snapshot check
- * cross-references the member lists against these bodies, so a field
- * added to a snapshot without a matching serialize/deserialize line
- * fails the lint gate instead of silently drifting the disk format.
+ * Each checkpointed State has one `io(Ar &, State &)` body that both
+ * encodes (Ar = BinWriter) and decodes (Ar = BinReader) it; the rule
+ * and its lint are described once in docs/architecture.md,
+ * "Checkpointed state".
  *
- * Deserialization is *total*: structurally or semantically invalid
- * input flips the BinReader's sticky fail flag (checked by the store,
+ * Decoding is *total*: structurally or semantically invalid input
+ * flips the BinReader's sticky fail flag (checked by the store,
  * which treats it as a miss) and never asserts or throws. Geometry
- * mismatches (e.g. a snapshot from a differently sized config) are
+ * mismatches (e.g. a checkpoint from a differently sized config) are
  * caught one level up by the store key, which encodes the full run
  * config; this layer only validates what it needs to stay memory-safe.
  */
@@ -30,50 +28,21 @@ namespace pipe
 {
 
 /**
- * Bumped whenever any serializeSnapshot encoding changes shape.
- * Mismatched versions are store misses, never decode attempts.
+ * Bumped whenever any io encoding changes shape. Mismatched
+ * versions are store misses, never decode attempts.
  */
 constexpr std::uint32_t kSnapshotFormatVersion = 1;
 
-void serializeSnapshot(BinWriter &w, const mem::Cache::Snapshot &s);
-void deserializeSnapshot(BinReader &r, mem::Cache::Snapshot &s);
-
-void serializeSnapshot(BinWriter &w, const mem::Tlb::Snapshot &s);
-void deserializeSnapshot(BinReader &r, mem::Tlb::Snapshot &s);
-
-void serializeSnapshot(BinWriter &w,
-                       const mem::StridePrefetcher::Snapshot &s);
-void deserializeSnapshot(BinReader &r, mem::StridePrefetcher::Snapshot &s);
-
-void serializeSnapshot(BinWriter &w,
-                       const mem::MemDepPredictor::Snapshot &s);
-void deserializeSnapshot(BinReader &r, mem::MemDepPredictor::Snapshot &s);
-
-void serializeSnapshot(BinWriter &w,
-                       const mem::MemoryHierarchy::Snapshot &s);
-void deserializeSnapshot(BinReader &r, mem::MemoryHierarchy::Snapshot &s);
-
-void serializeSnapshot(BinWriter &w, const branch::Tage::Snapshot &s);
-void deserializeSnapshot(BinReader &r, branch::Tage::Snapshot &s);
-
-void serializeSnapshot(BinWriter &w, const branch::Ittage::Snapshot &s);
-void deserializeSnapshot(BinReader &r, branch::Ittage::Snapshot &s);
-
-void serializeSnapshot(BinWriter &w,
-                       const branch::ReturnAddressStack::Snapshot &s);
-void deserializeSnapshot(BinReader &r,
-                         branch::ReturnAddressStack::Snapshot &s);
+/** A core checkpoint; defined for BinWriter and BinReader. */
+template <class Ar> void io(Ar &ar, Core::State &s);
 
 /**
  * Counters travel as (FNV-1a name hash, value) pairs: renaming,
  * adding, or removing a counter changes the stream and turns stale
  * store entries into misses automatically.
  */
-void serializeSnapshot(BinWriter &w, const SimStats &s);
-void deserializeSnapshot(BinReader &r, SimStats &s);
-
-void serializeSnapshot(BinWriter &w, const Core::Snapshot &s);
-void deserializeSnapshot(BinReader &r, Core::Snapshot &s);
+void io(BinWriter &w, SimStats &s);
+void io(BinReader &r, SimStats &s);
 
 } // namespace pipe
 } // namespace lvpsim

@@ -101,16 +101,10 @@ BaselineCache::get(const std::string &workload, const RunConfig &rc)
         },
         // The timing fields ride along in the store payload so warm
         // runs can still report a meaningful serial-seconds estimate.
-        [](BinWriter &w, const Entry &e) {
-            pipe::serializeSnapshot(w, e.stats);
-            w.f64(e.seconds);
-            w.f64(e.checkpointSeconds);
-        },
-        [](BinReader &r, Entry &e) {
-            pipe::deserializeSnapshot(r, e.stats);
-            e.seconds = r.f64();
-            e.checkpointSeconds = r.f64();
-            return true;
+        [](auto &ar, Entry &e) {
+            pipe::io(ar, e.stats);
+            ar.f64(e.seconds);
+            ar.f64(e.checkpointSeconds);
         });
 }
 

@@ -17,9 +17,12 @@
  * A store kind ("ckpt:", "base:", "plan:") plus a payload codec makes
  * the CheckpointStore the memo's L2: with the store enabled, a key
  * missing from memory is loaded from disk under `kind + key`, or else
- * built and published. Payloads start with
- * pipe::kSnapshotFormatVersion and must decode exactly; anything else
- * is a miss and a rebuild. generations() counts real builds only.
+ * built and published. The codec is one `codec(Ar &, V &)` callable
+ * that both encodes (Ar = BinWriter) and decodes (Ar = BinReader),
+ * in the shared field spelling of common/binio.hh. Payloads start
+ * with pipe::kSnapshotFormatVersion and must decode exactly; anything
+ * else is a miss and a rebuild. generations() counts real builds
+ * only.
  */
 
 #pragma once
@@ -100,11 +103,9 @@ class OnceCache
     }
 
     /** Store-backed: with the store enabled, load the value with
-     *  `bool decode(BinReader &, V &)`, or build it and publish it
-     *  with `encode(BinWriter &, const V &)`. */
-    template <typename Build, typename Encode, typename Decode>
-    Ptr get(const std::string &key, Build &&build, Encode &&encode,
-            Decode &&decode)
+     *  @p codec, or build it and publish it with @p codec. */
+    template <typename Build, typename Codec>
+    Ptr get(const std::string &key, Build &&build, Codec &&codec)
     {
         return once(key, [&](V &v) {
             auto &store = CheckpointStore::instance();
@@ -114,30 +115,30 @@ class OnceCache
             }
             store.fetchOrBuild(
                 kind + key,
-                [&](BinReader &r) { return unframe(r, v, decode); },
+                [&](BinReader &r) { return unframe(r, v, codec); },
                 [&](BinWriter &w) {
                     buildCounted(v, build);
-                    frame(w, v, encode);
+                    frame(w, v, codec);
                 });
         });
     }
 
     /** Load @p key's store entry into @p v, for callers that keep
      *  their own slots (CheckpointCache::getIntervals). */
-    template <typename Decode>
-    bool tryLoad(const std::string &key, V &v, Decode &&decode)
+    template <typename Codec>
+    bool tryLoad(const std::string &key, V &v, Codec &&codec)
     {
         return CheckpointStore::instance().tryLoad(
             kind + key,
-            [&](BinReader &r) { return unframe(r, v, decode); });
+            [&](BinReader &r) { return unframe(r, v, codec); });
     }
 
     /** Publish @p v as @p key's store entry (no-op when disabled). */
-    template <typename Encode>
-    void publish(const std::string &key, const V &v, Encode &&encode)
+    template <typename Codec>
+    void publish(const std::string &key, const V &v, Codec &&codec)
     {
         CheckpointStore::instance().publish(
-            kind + key, [&](BinWriter &w) { frame(w, v, encode); });
+            kind + key, [&](BinWriter &w) { frame(w, v, codec); });
     }
 
     /** Number of values actually built (not memory or disk hits). */
@@ -183,18 +184,22 @@ class OnceCache
         generated.fetch_add(1, std::memory_order_relaxed);
     }
 
-    template <typename Encode>
-    static void frame(BinWriter &w, const V &v, Encode &encode)
+    /** A codec only reads its value when writing, so the
+     *  const_cast is never written through. */
+    template <typename Codec>
+    static void frame(BinWriter &w, const V &v, Codec &codec)
     {
         w.u32(pipe::kSnapshotFormatVersion);
-        encode(w, v);
+        codec(w, const_cast<V &>(v));
     }
 
-    template <typename Decode>
-    static bool unframe(BinReader &r, V &v, Decode &decode)
+    template <typename Codec>
+    static bool unframe(BinReader &r, V &v, Codec &codec)
     {
-        return r.u32() == pipe::kSnapshotFormatVersion && decode(r, v) &&
-               r.ok() && r.atEnd();
+        if (r.u32() != pipe::kSnapshotFormatVersion)
+            return false;
+        codec(r, v);
+        return r.ok() && r.atEnd();
     }
 
     const std::string kind;

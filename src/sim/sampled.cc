@@ -104,47 +104,26 @@ functionalVpTrain(const std::vector<trace::MicroOp> &ops,
         vp.onRetire(retired);
 }
 
-/** Store payload for one SamplePlan (after the version word). */
+/** Store codec for a SamplePlan (after the version word). */
+template <class Ar>
 void
-encodePlan(BinWriter &w, const SamplePlan &plan)
+io(Ar &ar, SamplePlan &plan)
 {
-    w.u64(plan.intervalLen);
-    w.u64(plan.totalInstructions);
-    w.u64(plan.reps.size());
-    for (const SampleRep &rep : plan.reps) {
-        w.u32(rep.interval);
-        w.u64(rep.weightInstructions);
-        w.u32(rep.clusterSize);
-    }
-    w.u64(plan.assignment.size());
-    for (std::uint32_t a : plan.assignment)
-        w.u32(a);
-}
-
-bool
-decodePlan(BinReader &r, SamplePlan &plan)
-{
-    plan.intervalLen = r.u64();
-    plan.totalInstructions = r.u64();
-    const std::size_t nReps = r.count(16);
-    plan.reps.resize(r.ok() ? nReps : 0);
-    for (SampleRep &rep : plan.reps) {
-        rep.interval = r.u32();
-        rep.weightInstructions = r.u64();
-        rep.clusterSize = r.u32();
-    }
-    const std::size_t nAssign = r.count(4);
-    plan.assignment.resize(r.ok() ? nAssign : 0);
-    for (std::uint32_t &a : plan.assignment)
-        a = r.u32();
+    ar.u64(plan.intervalLen);
+    ar.u64(plan.totalInstructions);
+    ar.vec(plan.reps, 16, [](auto &a, SampleRep &rep) {
+        a.u32(rep.interval);
+        a.u64(rep.weightInstructions);
+        a.u32(rep.clusterSize);
+    });
+    ar.vec(plan.assignment, 4, [](auto &a, std::uint32_t &i) {
+        a.u32(i);
+    });
     // Structural cross-checks mirror what buildSamplePlan guarantees;
     // a violation means a foreign/corrupt payload, so force a miss.
-    if (plan.intervalLen == 0)
-        return false;
-    for (std::uint32_t a : plan.assignment)
-        if (a >= plan.reps.size())
-            return false;
-    return true;
+    ar.check(plan.intervalLen != 0);
+    for (const std::uint32_t i : plan.assignment)
+        ar.check(i < plan.reps.size());
 }
 
 } // anonymous namespace
@@ -178,7 +157,7 @@ PlanCache::get(const std::string &workload, const RunConfig &rc)
                 trace::profileTrace(*info.trace, rc.sampleIntervalLen),
                 rc.sampleK, rc.traceSeed);
         },
-        encodePlan, decodePlan);
+        [](auto &ar, SamplePlan &plan) { io(ar, plan); });
 }
 
 SampledRunResult

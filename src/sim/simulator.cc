@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 
 #include "common/logging.hh"
 #include "pipeline/snapshot_io.hh"
@@ -34,21 +35,16 @@ namespace
 std::atomic<std::uint64_t> progressEvery{0};
 Mutex progressPrintMx;
 
-/** Store payload for one SimCheckpoint (after the version word). */
-void
-encodeCheckpoint(BinWriter &w, const SimCheckpoint &ck)
+/** Store codec for the checkpoint taken after @p warmup instructions
+ *  (after the version word); decoding rejects any other length. */
+auto
+checkpointCodec(std::uint64_t warmup)
 {
-    pipe::serializeSnapshot(w, ck.core);
-    w.u64(ck.warmupInstrs);
-}
-
-/** Decode, rejecting a checkpoint of any other warmup length. */
-bool
-decodeCheckpoint(BinReader &r, SimCheckpoint &ck, std::uint64_t warmup)
-{
-    pipe::deserializeSnapshot(r, ck.core);
-    ck.warmupInstrs = r.u64();
-    return ck.warmupInstrs == warmup;
+    return [warmup](auto &ar, SimCheckpoint &ck) {
+        pipe::io(ar, ck.core);
+        ar.u64(ck.warmupInstrs);
+        ar.check(ck.warmupInstrs == warmup);
+    };
 }
 
 std::string
@@ -233,6 +229,21 @@ TraceCache::info(const std::string &workload, std::size_t max_ops,
     return *lookup(workload, max_ops, seed);
 }
 
+void
+checkTraceLengthOrExit(const RunConfig &rc)
+{
+    const std::uint64_t instrs = rc.maxInstrs, warmup = rc.warmupInstrs;
+    if (instrs <= pipe::kMaxTraceLength &&
+        warmup <= pipe::kMaxTraceLength - instrs)
+        return;
+    std::fprintf(stderr,
+                 "%" PRIu64 " measured + %" PRIu64
+                 " warmup instructions exceed the trace-length limit "
+                 "of %" PRIu64 " instructions\n",
+                 instrs, warmup, pipe::kMaxTraceLength);
+    std::exit(2);
+}
+
 std::string
 runKey(const std::string &workload, const RunConfig &rc)
 {
@@ -267,10 +278,11 @@ CheckpointCache::get(const std::string &workload, const RunConfig &rc)
             ck.warmupInstrs = rc.warmupInstrs;
             ck.buildSeconds = secondsSince(t0);
         },
-        encodeCheckpoint,
-        [&](BinReader &r, SimCheckpoint &ck) {
-            ck.buildSeconds = secondsSince(t0);
-            return decodeCheckpoint(r, ck, rc.warmupInstrs);
+        [&, codec = checkpointCodec(rc.warmupInstrs)]<class Ar>(
+            Ar &ar, SimCheckpoint &ck) {
+            if constexpr (Ar::reads)
+                ck.buildSeconds = secondsSince(t0);
+            codec(ar, ck);
         });
 }
 
@@ -286,7 +298,7 @@ CheckpointCache::publishInterval(TraceState &ts,
         ck->warmupInstrs = idx;
         ts.core->saveState(ck->core);
         ck->buildSeconds = buildSeconds;
-        cache.publish(key, *ck, encodeCheckpoint);
+        cache.publish(key, *ck, checkpointCodec(idx));
         slot->ckpt = std::move(ck);
         slot->ready.store(true, std::memory_order_release);
         intervalsBuilt.fetch_add(1, std::memory_order_relaxed);
@@ -389,12 +401,8 @@ CheckpointCache::getIntervals(const std::string &workload,
                 if (CheckpointStore::instance().enabled()) {
                     auto ck = std::make_shared<SimCheckpoint>();
                     const auto t0 = WallClock::now();
-                    const auto decode = [idx](BinReader &r,
-                                              SimCheckpoint &c) {
-                        return decodeCheckpoint(r, c, idx);
-                    };
                     if (cache.tryLoad(intervalKey(prefix, idx), *ck,
-                                      decode)) {
+                                      checkpointCodec(idx))) {
                         ck->buildSeconds = secondsSince(t0);
                         if (!state->core) {
                             state->core = std::make_unique<pipe::Core>(

@@ -102,6 +102,13 @@ traceLength(const RunConfig &rc)
 }
 
 /**
+ * Exit with status 2, naming the limit, unless the trace of @p rc
+ * (measured plus warmup instructions, summed without wrapping) fits
+ * in pipe::kMaxTraceLength.
+ */
+void checkTraceLengthOrExit(const RunConfig &rc);
+
+/**
  * Generate or load (and cache) a workload's trace.
  *
  * The workload argument is a trace *spec* (see trace/trace_spec.hh):
@@ -182,7 +189,7 @@ pipe::SimStats runWorkload(const std::string &workload,
  */
 struct SimCheckpoint
 {
-    pipe::Core::Snapshot core;
+    pipe::Core::State core;
     std::uint64_t warmupInstrs = 0;
     double buildSeconds = 0.0;
 };

@@ -1,8 +1,7 @@
-/** Fixture: checkpointable class with a member missing from its
- *  saveState/restoreState pair (`hits` is the seeded violation), and
- *  a serializeSnapshot/deserializeSnapshot overload pair whose
- *  deserialize half skips a Snapshot member (`clock` is the second
- *  seeded violation). */
+/** Fixture: a checkpointable class whose State has a field its io
+ *  codec skips (`clock` is the first seeded violation), and a data
+ *  member outside its State with no suppression (`hits` is the
+ *  second). */
 
 #pragma once
 
@@ -12,47 +11,29 @@
 namespace fixture
 {
 
-class Counter
+struct CounterState
 {
-  public:
-    struct Snapshot
-    {
-        std::vector<std::uint64_t> table;
-        std::uint64_t clock = 0;
-    };
-
-    void saveState(Snapshot &s) const
-    {
-        s.table = table;
-        s.clock = clock;
-    }
-
-    void restoreState(const Snapshot &s)
-    {
-        table = s.table;
-        clock = s.clock;
-    }
-
-  private:
     std::vector<std::uint64_t> table;
     std::uint64_t clock = 0;
+};
+
+class Counter : private CounterState
+{
+  public:
+    using State = CounterState;
+
+    void saveState(State &s) const { s = *this; }
+    void restoreState(const State &s) { State::operator=(s); }
+
+  private:
     std::uint64_t hits = 0;
 };
 
-struct ByteSink;
-struct ByteSource;
-
-inline void
-serializeSnapshot(ByteSink &w, const Counter::Snapshot &s)
+template <class Ar>
+void
+io(Ar &ar, CounterState &s)
 {
-    put(w, s.table);
-    put(w, s.clock);
-}
-
-inline void
-deserializeSnapshot(ByteSource &r, Counter::Snapshot &s)
-{
-    get(r, s.table);
+    ar.vec(s.table);
 }
 
 } // namespace fixture

@@ -58,7 +58,7 @@ TEST(CheckpointFuzz, RestoredCoreMatchesContinuedCore)
             auto vp1 = vp::makeSinglePredictor(comp, 256);
             pipe::Core continued(ccfg, code, vp1.get());
             continued.warmup(warm);
-            pipe::Core::Snapshot snap;
+            pipe::Core::State snap;
             continued.saveState(snap);
             const auto s1 = continued.run();
 
@@ -94,7 +94,7 @@ TEST(CheckpointFuzz, SnapshotIsReusableAcrossPredictors)
 
             pipe::Core warmer(ccfg, code, nullptr);
             warmer.warmup(warm);
-            pipe::Core::Snapshot snap;
+            pipe::Core::State snap;
             warmer.saveState(snap);
 
             std::vector<std::vector<

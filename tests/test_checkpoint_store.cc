@@ -355,8 +355,9 @@ TEST_F(StoreTest, CheckpointCacheServesFromDiskAcrossClear)
 
     // The restored snapshot is bit-identical to the built one.
     BinWriter a, b;
-    pipe::serializeSnapshot(a, built->core);
-    pipe::serializeSnapshot(b, restored->core);
+    auto builtCore = built->core, restoredCore = restored->core;
+    pipe::io(a, builtCore);
+    pipe::io(b, restoredCore);
     EXPECT_EQ(a.buffer(), b.buffer());
 }
 
@@ -548,11 +549,7 @@ getToy(ToyCache &cache, const std::string &key, std::uint64_t value)
 {
     return cache.get(
         key, [&](Toy &t) { t.value = value; },
-        [](BinWriter &w, const Toy &t) { w.u64(t.value); },
-        [](BinReader &r, Toy &t) {
-            t.value = r.u64();
-            return true;
-        });
+        [](auto &ar, Toy &t) { ar.u64(t.value); });
 }
 
 } // anonymous namespace
@@ -684,8 +681,7 @@ TEST_F(StoreTest, OnceCacheBuildHoldsStoreClaim)
                          claimed = fileMtime(claim) >= 0;
                          throw std::runtime_error("failed");
                      },
-                     [](BinWriter &, const Toy &) {},
-                     [](BinReader &, Toy &) { return true; }),
+                     [](auto &, Toy &) {}),
                  std::runtime_error);
     EXPECT_TRUE(claimed);
     EXPECT_LT(fileMtime(claim), 0);

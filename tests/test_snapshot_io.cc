@@ -1,7 +1,7 @@
 /**
  * @file
- * Binary snapshot serialization (pipeline/snapshot_io.hh): a
- * post-warmup Core::Snapshot must survive an encode/decode round trip
+ * Binary checkpoint encoding (pipeline/snapshot_io.hh): a
+ * post-warmup Core::State must survive an encode/decode round trip
  * byte-exactly, a restored core must resume identically to one that
  * never left memory, and every truncated payload must decode to a
  * clean failure (never a crash or a silently short snapshot).
@@ -36,25 +36,25 @@ warmRc()
     return rc;
 }
 
-/** Warm a fresh core on `workload` and capture its snapshot. */
-pipe::Core::Snapshot
-warmSnapshot(const std::string &workload)
+/** Warm a fresh core on `workload` and capture its state. */
+pipe::Core::State
+warmState(const std::string &workload)
 {
     const auto rc = warmRc();
     auto ops = sim::TraceCache::instance().get(
         workload, sim::traceLength(rc), rc.traceSeed);
     pipe::Core core(rc.core, *ops, nullptr);
     core.warmup(rc.warmupInstrs);
-    pipe::Core::Snapshot s;
+    pipe::Core::State s;
     core.saveState(s);
     return s;
 }
 
 std::vector<std::uint8_t>
-encode(const pipe::Core::Snapshot &s)
+encode(pipe::Core::State s)
 {
     BinWriter w;
-    pipe::serializeSnapshot(w, s);
+    pipe::io(w, s);
     return w.take();
 }
 
@@ -67,12 +67,12 @@ TEST(SnapshotIo, RoundTripReencodesToIdenticalBytes)
     // re-encode must reproduce the exact input bytes, proving no
     // field is dropped, reordered, or widened on either side.
     for (const char *w : {"stream_sum", "pointer_chase"}) {
-        const auto bytes = encode(warmSnapshot(w));
+        const auto bytes = encode(warmState(w));
         ASSERT_FALSE(bytes.empty());
 
         BinReader r(bytes);
-        pipe::Core::Snapshot decoded;
-        pipe::deserializeSnapshot(r, decoded);
+        pipe::Core::State decoded;
+        pipe::io(r, decoded);
         ASSERT_TRUE(r.ok()) << w;
         ASSERT_TRUE(r.atEnd()) << w;
 
@@ -94,17 +94,17 @@ TEST(SnapshotIo, RestoredCoreResumesBitIdentically)
     ref.warmup(rc.warmupInstrs);
     const auto refStats = ref.run();
 
-    // Under test: the warmup state crosses a serialize/deserialize
+    // Under test: the warmup state crosses an encode/decode
     // boundary before the measured region runs.
     pipe::Core warm(rc.core, *ops, nullptr);
     warm.warmup(rc.warmupInstrs);
-    pipe::Core::Snapshot snap;
+    pipe::Core::State snap;
     warm.saveState(snap);
 
     const auto bytes = encode(snap);
     BinReader r(bytes);
-    pipe::Core::Snapshot decoded;
-    pipe::deserializeSnapshot(r, decoded);
+    pipe::Core::State decoded;
+    pipe::io(r, decoded);
     ASSERT_TRUE(r.ok() && r.atEnd());
 
     pipe::NullPredictor vp;
@@ -115,13 +115,13 @@ TEST(SnapshotIo, RestoredCoreResumesBitIdentically)
 
 TEST(SnapshotIo, EveryTruncationFailsCleanly)
 {
-    const auto bytes = encode(warmSnapshot("stream_sum"));
+    const auto bytes = encode(warmState("stream_sum"));
     ASSERT_GT(bytes.size(), 64u);
 
     auto decodeAt = [&](std::size_t len) {
         BinReader r(bytes.data(), len);
-        pipe::Core::Snapshot s;
-        pipe::deserializeSnapshot(r, s);
+        pipe::Core::State s;
+        pipe::io(r, s);
         return r.ok() && r.atEnd();
     };
 
@@ -143,10 +143,37 @@ TEST(SnapshotIo, EveryTruncationFailsCleanly)
 
 TEST(SnapshotIo, TrailingGarbageIsRejectedByAtEnd)
 {
-    auto bytes = encode(warmSnapshot("stream_sum"));
+    auto bytes = encode(warmState("stream_sum"));
     bytes.push_back(0);
     BinReader r(bytes);
-    pipe::Core::Snapshot s;
-    pipe::deserializeSnapshot(r, s);
+    pipe::Core::State s;
+    pipe::io(r, s);
     EXPECT_FALSE(r.ok() && r.atEnd());
+}
+
+TEST(SnapshotIo, EncodingIsPinned)
+{
+    // The on-disk checkpoint format, pinned: byte length and FNV-1a64
+    // of a warmed core's encoding (default RunConfig, 6000-instruction
+    // warmup, trace seed 1). A change here is a format change and
+    // must bump pipe::kSnapshotFormatVersion.
+    struct Pin
+    {
+        const char *workload;
+        std::size_t bytes;
+        std::uint64_t fnv;
+    };
+    const Pin pins[] = {
+        {"stream_sum", 1369006, 0xaf5a9e26cd749e07ull},
+        {"pointer_chase", 1369006, 0x69258ff1faa36ed8ull},
+        {"hash_probe", 1369006, 0xc3d4534ba34e4131ull},
+    };
+    ASSERT_EQ(warmRc().traceSeed, 1u);
+    for (const Pin &p : pins) {
+        const auto bytes = encode(warmState(p.workload));
+        EXPECT_EQ(bytes.size(), p.bytes) << p.workload;
+        EXPECT_EQ(fnv1a64(bytes.data(), bytes.size()), p.fnv)
+            << p.workload << ": 0x" << std::hex
+            << fnv1a64(bytes.data(), bytes.size());
+    }
 }

@@ -1,8 +1,8 @@
 #!/bin/sh
 # The pre-PR gate, in one command (documented in README.md):
 #
-#   configure -> build -> ctest (smoke + lint labels) -> spec fuzz
-#   -> ctest (store label) -> perf gates -> thread-safety tree
+#   configure -> build -> ctest (smoke + lint labels) -> ctest (fuzz
+#   label) -> ctest (store label) -> perf gates -> thread-safety tree
 #   -> lvplint -> doc links -> strict doxygen
 #
 #   tools/ci.sh [build-dir]            default build dir: ./build
@@ -49,9 +49,10 @@ smoke_lint() {
           -j"$(nproc)"
 }
 
-spec_fuzz() {
-    ctest --test-dir "$build" -R 'SpecTruthFuzz|SpecShrink' \
-          --output-on-failure -j"$(nproc)"
+fuzz() {
+    # Every seeded property test: spec truth, checkpoint restore and
+    # reuse, trace round trips, predictor bounds, containers.
+    ctest --test-dir "$build" -L fuzz --output-on-failure -j"$(nproc)"
 }
 
 store_gate() {
@@ -98,7 +99,7 @@ docs_strict() { cmake --build "$build" --target docs; }
 gate "configure" configure
 gate "build" build_tree
 gate "ctest: smoke + lint" smoke_lint
-gate "ctest: spec fuzz" spec_fuzz
+gate "ctest: fuzz" fuzz
 gate "ctest: store" store_gate
 gate "ctest: perf gates" perf_gates
 gate "thread-safety tree" thread_safety

@@ -32,12 +32,10 @@ Checks (see docs/static_analysis.md for the rationale of each):
   header-hygiene  #pragma once, no `using namespace` at namespace
                   scope in headers, include-order sanity.
   state-snapshot  every data member of a checkpointable class (one
-                  declaring both saveState and restoreState) is
-                  mentioned in both bodies, and every member of a
-                  nested Snapshot struct that has a
-                  serializeSnapshot/deserializeSnapshot overload
-                  pair is mentioned in both overload bodies, or
-                  carries a justified suppression — forgetting a
+                  declaring both saveState and restoreState) is in
+                  its State, and every field of a State is named in
+                  its `template <class Ar> io(Ar &, State &)` codec,
+                  or carries a justified suppression — forgetting a
                   member silently breaks checkpoint/restore
                   bit-identity or drifts the on-disk store format.
   lock-discipline raw std:: mutex/lock types outside common/sync.hh
@@ -78,7 +76,9 @@ import json
 import os
 import re
 import sys
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import (
+    Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple,
+)
 
 SCAN_DIRS = ("src", "bench", "tests")
 CXX_EXTENSIONS = (".cc", ".hh")
@@ -969,251 +969,238 @@ def iter_class_bodies(code: str) -> Iterator[Tuple[str, int, int]]:
 
 @register
 class StateSnapshotCheck(Check):
-    """Checkpoint/restore (pipe::Core::saveState and friends) is only
-    bit-identical if every piece of mutable state reaches the
-    Snapshot.  A new data member that is forgotten in saveState /
-    restoreState compiles silently and corrupts restored runs in ways
-    only the differential tests can catch, long after the edit.  This
-    check makes the invariant static: in any class that declares both
-    saveState and restoreState, every data member must be mentioned
-    by name in both bodies — or carry a justified
-    ``// lvplint: allow(state-snapshot)`` explaining why it is not
-    checkpointed state (construction-time config, external wiring,
-    scratch buffers)."""
+    """Checkpoint/restore and the on-disk checkpoint store are only
+    bit-exact if every piece of mutable state of a checkpointed class
+    (one declaring saveState and restoreState) sits in its State, and
+    every State field is named in that State's io codec — the rule of
+    docs/architecture.md, "Checkpointed state".  A member left outside
+    State, or a field its codec forgets, compiles silently and breaks
+    restored runs or drifts the disk format.  This check makes both
+    static:
+
+    * each data member of a checkpointed class is in its State (the
+      class's ``using State = X`` private base, or a child whose
+      State is a field of the class's own nested ``struct State``,
+      which saveState and restoreState then both name), or carries a
+      justified ``// lvplint: allow(state-snapshot)`` explaining why
+      it is not state (config, external wiring, scratch);
+    * each such State has a ``template <class Ar> io(Ar &, State &)``
+      codec, and every field of a codec's struct — and of the structs
+      nested in it — is named in the codec body."""
 
     check_id = "state-snapshot"
     description = (
         "every data member of a class declaring saveState/"
-        "restoreState appears in both bodies, and every member of a "
-        "nested Snapshot struct with a serializeSnapshot/"
-        "deserializeSnapshot overload pair appears in both overload "
-        "bodies (or is suppressed with justification)"
+        "restoreState is in its State (or is suppressed with "
+        "justification), and every field of a State is named in its "
+        "io codec"
     )
 
-    # A definition (not declaration: the brace is required) of either
-    # half of a snapshot-serializer overload pair. The parameter list
-    # names which snapshot type the overload covers.
-    SERIALIZER_RE = re.compile(
-        r"\b(serializeSnapshot|deserializeSnapshot)\s*"
-        r"\(([^)]*)\)\s*\{"
+    # A definition (the brace is required) of a single codec: the
+    # archive parameter is the template parameter, so one body both
+    # encodes and decodes. Encode/decode overload pairs on concrete
+    # archives are container primitives and stay out of scope.
+    CODEC_RE = re.compile(
+        r"\btemplate\s*<\s*(?:class|typename)\s+(\w+)\s*>\s*"
+        r"(?:inline\s+)?void\s+io\s*\(\s*\1\s*&\s*\w*\s*,\s*"
+        r"([\w:]+)\s*&\s*\w*\s*\)\s*\{"
     )
-    SNAP_PARAM_RE = re.compile(r"([A-Za-z_]\w*)\s*::\s*Snapshot\s*&")
-
-    MEMBER_SKIP = {
-        "using", "typedef", "friend", "static", "template", "enum",
-        "class", "struct", "union", "operator", "virtual", "explicit",
-        "extern", "namespace", "public", "private", "protected",
-    }
+    ALIAS_RE = re.compile(r"\busing\s+State\s*=\s*([\w:]+)\s*;")
 
     def run(self, tree: Tree) -> Iterator[Finding]:
-        ser, deser = self.serializer_bodies(tree)
-        for sf in tree.files:
-            if not (
-                sf.relpath.startswith("src/") and sf.is_header()
-            ):
+        src = [sf for sf in tree.files if sf.relpath.startswith("src/")]
+        classes = {
+            name for sf in src for name, _, _ in iter_class_bodies(sf.code)
+        }
+        codecs = self.codec_bodies(src, classes)
+        model = project_model(tree)
+        for sf in src:
+            if not sf.is_header():
                 continue
-            bodies = list(self.class_bodies(sf.code))
+            bodies = list(iter_class_bodies(sf.code))
             for name, start, end in bodies:
+                key = self.struct_key(bodies, name, start, end)
+                if key in codecs:
+                    yield from self.check_codec(
+                        sf, model, bodies, key, start, end, codecs
+                    )
                 yield from self.check_class(
-                    tree, sf, name, sf.code[start:end], start
-                )
-                if name != "Snapshot":
-                    continue
-                # The disk-format side of the same invariant: a
-                # nested Snapshot that has an explicit serializer
-                # pair (src/pipeline/snapshot_io.*) must push every
-                # member through both halves, or restored state
-                # silently diverges from saved state. Snapshots
-                # without serializers are not on disk and stay out
-                # of scope.
-                owner = self.enclosing_class(bodies, start, end)
-                if owner is None:
-                    continue
-                if owner not in ser or owner not in deser:
-                    continue
-                yield from self.check_snapshot_serializers(
-                    sf, owner, sf.code[start:end], start,
-                    ser[owner], deser[owner]
+                    tree, sf, model, bodies, name, start, end, codecs,
+                    classes,
                 )
 
-    def class_bodies(
-        self, code: str
-    ) -> Iterator[Tuple[str, int, int]]:
-        return iter_class_bodies(code)
+    @staticmethod
+    def type_key(qualified: str, classes: Set[str]) -> str:
+        """A written type as `Owner::Name`, or `Name` at namespace
+        scope: leading namespace qualifiers are dropped."""
+        parts = [p for p in qualified.split("::") if p]
+        while len(parts) > 1 and parts[0] not in classes:
+            parts.pop(0)
+        return "::".join(parts[-2:])
+
+    def struct_key(
+        self, bodies: List[Tuple[str, int, int]], name: str, start: int,
+        end: int
+    ) -> str:
+        owner = self.enclosing_class(bodies, start, end)
+        return owner + "::" + name if owner else name
+
+    def codec_bodies(
+        self, src: List[SourceFile], classes: Set[str]
+    ) -> Dict[str, str]:
+        """Concatenated single-codec bodies, keyed by type_key() of
+        the coded type."""
+        codecs: Dict[str, str] = {}
+        for sf in src:
+            for m in self.CODEC_RE.finditer(sf.code):
+                close = find_matching_brace(sf.code, m.end() - 1)
+                if close is None:
+                    continue
+                key = self.type_key(m.group(2), classes)
+                codecs[key] = (codecs.get(key, "") + "\n" +
+                               sf.code[m.end():close])
+        return codecs
+
+    def check_codec(
+        self,
+        sf: SourceFile,
+        model: "ProjectModel",
+        bodies: List[Tuple[str, int, int]],
+        key: str,
+        start: int,
+        end: int,
+        codecs: Dict[str, str],
+    ) -> Iterator[Finding]:
+        # Structs nested in the coded one (table entries, queue
+        # records) are coded inside its body unless they have a codec
+        # of their own, which then checks them.
+        scopes = [(key, start, end)] + [
+            (name, s, e) for name, s, e in bodies
+            if start < s and e <= end and
+            self.struct_key(bodies, name, s, e) not in codecs
+        ]
+        for name, s, e in scopes:
+            for m in self.data_members(model, sf, s, e):
+                if not re.search(
+                    r"\b%s\b" % re.escape(m.name), codecs[key]
+                ):
+                    yield Finding(
+                        sf.relpath, m.line, self.check_id,
+                        "field '%s' of '%s' is not named in its io "
+                        "codec; a field the codec skips is lost by "
+                        "the checkpoint store — encode it or justify "
+                        "with a suppression" % (m.name, name),
+                    )
 
     def check_class(
         self,
         tree: Tree,
         sf: SourceFile,
+        model: "ProjectModel",
+        bodies: List[Tuple[str, int, int]],
         cls: str,
-        body: str,
-        body_off: int,
+        start: int,
+        end: int,
+        codecs: Dict[str, str],
+        classes: Set[str],
     ) -> Iterator[Finding]:
-        members, has_save, has_restore = self.scan_members(
-            body, body_off
-        )
-        if not (has_save and has_restore):
+        body = sf.code[start:end]
+        top = self.depth1(body)
+        if not (re.search(r"\bsaveState\s*\(", top) and
+                re.search(r"\brestoreState\s*\(", top)):
             return
-        save_body = self.function_body(tree, cls, body, "saveState")
-        restore_body = self.function_body(
-            tree, cls, body, "restoreState"
-        )
-        if save_body is None or restore_body is None:
-            # Declared but not defined anywhere in the scan set:
-            # nothing to cross-check (and nothing to anchor a line
-            # number to), so stay inert rather than guess.
+        line = sf.code.count("\n", 0, start) + 1
+        nested = [
+            (s, e) for name, s, e in bodies
+            if name == "State" and start < s and e <= end and
+            self.enclosing_class(bodies, s, e) == cls
+        ]
+        alias = self.ALIAS_RE.search(top)
+        if nested:
+            key = cls + "::State"
+            fields = self.data_members(model, sf, *nested[0])
+        elif alias:
+            key = self.type_key(alias.group(1), classes)
+            fields = []
+        else:
+            yield Finding(
+                sf.relpath, line, self.check_id,
+                "checkpointable class '%s' has no State: declare its "
+                "checkpointed members in one State struct" % cls,
+            )
             return
-        for name, off in members:
-            pat = re.compile(r"\b%s\b" % re.escape(name))
-            missing = []
-            if not pat.search(save_body):
-                missing.append("saveState")
-            if not pat.search(restore_body):
-                missing.append("restoreState")
+        if key not in codecs:
+            yield Finding(
+                sf.relpath, line, self.check_id,
+                "State '%s' of checkpointable class '%s' has no "
+                "`template <class Ar> io(Ar &, %s &)` codec"
+                % (key, cls, key),
+            )
+        children = {f.name for f in fields}
+        for m in self.data_members(model, sf, start, end):
+            if m.name in children:
+                continue
+            yield Finding(
+                sf.relpath, m.line, self.check_id,
+                "data member '%s' of checkpointable class '%s' is "
+                "outside its State; move it into State or justify "
+                "with a suppression" % (m.name, cls),
+            )
+        if not fields:
+            return
+        # An aggregate's State lists its children's States; saveState
+        # and restoreState must carry every one of them.
+        save = self.function_body(tree, cls, body, "saveState")
+        restore = self.function_body(tree, cls, body, "restoreState")
+        if save is None or restore is None:
+            return
+        for f in fields:
+            pat = re.compile(r"\b%s\b" % re.escape(f.name))
+            missing = [
+                fn for fn, text in (("saveState", save),
+                                    ("restoreState", restore))
+                if not pat.search(text)
+            ]
             if missing:
-                line = sf.code.count("\n", 0, off) + 1
                 yield Finding(
-                    sf.relpath, line, self.check_id,
-                    "data member '%s' of checkpointable class '%s' "
-                    "is not mentioned in %s; checkpoint it in both "
-                    "or justify with a suppression"
-                    % (name, cls, " or ".join(missing)),
+                    sf.relpath, f.line, self.check_id,
+                    "State field '%s' of '%s' is not named in %s; "
+                    "checkpoint it in both" %
+                    (f.name, cls, " or ".join(missing)),
                 )
+
+    @staticmethod
+    def data_members(
+        model: "ProjectModel", sf: SourceFile, start: int, end: int
+    ) -> List["MemberInfo"]:
+        return model.scan_members(sf.code, sf.code[start:end], start)
+
+    @staticmethod
+    def depth1(body: str) -> str:
+        """The class body with every nested brace block removed."""
+        out = []
+        depth = 0
+        for c in body:
+            if c == "{":
+                depth += 1
+            elif c == "}":
+                depth -= 1
+            elif depth == 0:
+                out.append(c)
+        return "".join(out)
 
     @staticmethod
     def enclosing_class(
         bodies: List[Tuple[str, int, int]], start: int, end: int
     ) -> Optional[str]:
         """Name of the innermost class strictly containing
-        [start, end), skipping other Snapshot structs."""
+        [start, end)."""
         owner: Optional[str] = None
         best = -1
         for name, s, e in bodies:
-            if s < start and end <= e and name != "Snapshot":
-                if s > best:
-                    best, owner = s, name
+            if s < start and end <= e and s > best:
+                best, owner = s, name
         return owner
-
-    def serializer_bodies(
-        self, tree: Tree
-    ) -> Tuple[Dict[str, str], Dict[str, str]]:
-        """Concatenated definition bodies of serializeSnapshot /
-        deserializeSnapshot overloads across the scan set, keyed by
-        the snapshot-owning class name (the token before
-        ``::Snapshot`` in the parameter list)."""
-        ser: Dict[str, str] = {}
-        deser: Dict[str, str] = {}
-        for sf in tree.files:
-            for m in self.SERIALIZER_RE.finditer(sf.code):
-                types = self.SNAP_PARAM_RE.findall(m.group(2))
-                if not types:
-                    continue
-                close = find_matching_brace(sf.code, m.end() - 1)
-                if close is None:
-                    continue
-                body = sf.code[m.end():close]
-                target = (
-                    ser if m.group(1) == "serializeSnapshot"
-                    else deser
-                )
-                cls = types[-1]
-                target[cls] = target.get(cls, "") + "\n" + body
-        return ser, deser
-
-    def check_snapshot_serializers(
-        self,
-        sf: SourceFile,
-        cls: str,
-        body: str,
-        body_off: int,
-        ser_body: str,
-        deser_body: str,
-    ) -> Iterator[Finding]:
-        members, _, _ = self.scan_members(body, body_off)
-        for name, off in members:
-            pat = re.compile(r"\b%s\b" % re.escape(name))
-            missing = []
-            if not pat.search(ser_body):
-                missing.append("serializeSnapshot")
-            if not pat.search(deser_body):
-                missing.append("deserializeSnapshot")
-            if missing:
-                line = sf.code.count("\n", 0, off) + 1
-                yield Finding(
-                    sf.relpath, line, self.check_id,
-                    "member '%s' of '%s::Snapshot' is not mentioned "
-                    "in %s; a member that skips either half of the "
-                    "serializer pair silently drifts the on-disk "
-                    "checkpoint format — encode it in both or "
-                    "justify with a suppression"
-                    % (name, cls, " or ".join(missing)),
-                )
-
-    def scan_members(
-        self, body: str, body_off: int
-    ) -> Tuple[List[Tuple[str, int]], bool, bool]:
-        """Depth-1 member declarations as (name, code offset), plus
-        whether saveState / restoreState are declared or defined."""
-        members: List[Tuple[str, int]] = []
-        has_save = has_restore = False
-
-        def note_functions(stmt: str) -> None:
-            nonlocal has_save, has_restore
-            if re.search(r"\bsaveState\s*\(", stmt):
-                has_save = True
-            if re.search(r"\brestoreState\s*\(", stmt):
-                has_restore = True
-
-        def flush(stmt: str, start: Optional[int]) -> None:
-            note_functions(stmt)
-            # Any parenthesis marks a function declaration (possibly
-            # a trailing fragment of one whose brace-initialized
-            # default argument reset the statement) or a call-style
-            # initializer; neither is a plain data member.
-            if "(" in stmt or ")" in stmt or "[[" in stmt:
-                return
-            s = re.sub(r"\b(public|private|protected)\s*:", " ", stmt)
-            s = re.sub(r"=.*$", "", s, flags=re.S)
-            tokens = re.findall(r"[A-Za-z_]\w*", s)
-            if len(tokens) < 2 or tokens[0] in self.MEMBER_SKIP:
-                return
-            if start is not None:
-                members.append((tokens[-1], start))
-
-        depth = 1
-        stmt = ""
-        start: Optional[int] = None
-        i = 0
-        while i < len(body):
-            c = body[i]
-            if c == "{":
-                if depth == 1:
-                    # Function definition opening, or a brace
-                    # initializer / nested type body; either way the
-                    # statement so far may declare the snapshot pair.
-                    note_functions(stmt)
-                depth += 1
-            elif c == "}":
-                depth -= 1
-                if depth == 1:
-                    # Keep the statement only when it continues into
-                    # a ';' (brace-initialized member, `struct X {}
-                    # y;`); a function body ends the statement.
-                    j = i + 1
-                    while j < len(body) and body[j].isspace():
-                        j += 1
-                    if j >= len(body) or body[j] != ";":
-                        stmt, start = "", None
-            elif depth == 1:
-                if c == ";":
-                    flush(stmt, start)
-                    stmt, start = "", None
-                else:
-                    if start is None and not c.isspace():
-                        start = body_off + i
-                    stmt += c
-            i += 1
-        return members, has_save, has_restore
 
     def function_body(
         self, tree: Tree, cls: str, class_body: str, fn: str
@@ -1288,7 +1275,11 @@ class ProjectModel:
     root, see CMakeLists.txt) and then against the including file's
     directory."""
 
-    MEMBER_SKIP = StateSnapshotCheck.MEMBER_SKIP
+    MEMBER_SKIP = {
+        "using", "typedef", "friend", "static", "template", "enum",
+        "class", "struct", "union", "operator", "virtual", "explicit",
+        "extern", "namespace", "public", "private", "protected",
+    }
 
     def __init__(self, tree: Tree):
         known = {sf.relpath for sf in tree.files}
@@ -1351,7 +1342,10 @@ class ProjectModel:
                 return
             guards = tuple(GUARD_ARG_RE.findall(stmt))
             s = ANNOTATION_RE.sub(" ", stmt)
-            s = re.sub(r"\b(public|private|protected)\s*:", " ", s)
+            # Unbalanced: the tail of a function declaration whose
+            # brace-initialized default argument reset the statement.
+            if s.count("(") != s.count(")"):
+                return
             s = re.sub(r"=.*$", "", s, flags=re.S)
             if "(" in s or ")" in s or "[[" in s:
                 return
@@ -1393,12 +1387,20 @@ class ProjectModel:
                 if c == ";":
                     flush(stmt, start)
                     stmt, start = "", None
+                elif c == ":" and ACCESS_LABEL_RE.fullmatch(stmt) and \
+                        body[i + 1:i + 2] != ":":
+                    # An access label is not part of the declaration
+                    # that follows it (nor of its line number).
+                    stmt, start = "", None
                 else:
                     if start is None and not c.isspace():
                         start = body_off + i
                     stmt += c
             i += 1
         return members
+
+
+ACCESS_LABEL_RE = re.compile(r"\s*(public|private|protected)\s*")
 
 
 def project_model(tree: Tree) -> ProjectModel:

@@ -89,7 +89,7 @@ class MemberIndexTest(unittest.TestCase):
 
     def test_guard_extraction_survives_annotation_parens(self):
         # GUARDED_BY(mx) puts parentheses in the declaration; the
-        # state-snapshot scanner would drop it as a function, the
+        # a scanner that reads any parenthesis as a function drops it, the
         # project-model scanner must keep it and record the guard.
         ci = self.cache_class()
         guards = {m.name: m.guards for m in ci.members}

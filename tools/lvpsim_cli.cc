@@ -380,6 +380,7 @@ main(int argc, char **argv)
     sim::RunConfig rc;
     rc.maxInstrs = o.instrs ? o.instrs : sim::instrsFromEnv(150000);
     rc.warmupInstrs = o.warmup ? o.warmup : sim::warmupFromEnv();
+    sim::checkTraceLengthOrExit(rc);
     rc.traceSeed = o.seed;
     rc.sampleK = o.sampleK;
     if (o.intervalLen)
