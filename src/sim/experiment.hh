@@ -36,7 +36,7 @@ struct WorkloadResult
     pipe::SimStats withVp;
     std::uint64_t storageBits = 0;
 
-    /// Trace metadata: which TraceSource backend delivered the
+    /// Trace metadata: which input format delivered the
     /// instruction stream ("synthetic", "lvpt", or "cvp") and how
     /// many instructions it held (measurement + warmup regions).
     std::string traceFormat = "synthetic";

@@ -8,7 +8,8 @@
  *                           (VP disabled; see RunConfig.warmupInstrs)
  *   LVPSIM_SUITE=smoke|full which workload list the benches sweep
  *
- * A count that is not a plain decimal number exits with status 2.
+ * A count that is not a plain decimal number, or a suite other than
+ * smoke or full, exits with status 2.
  */
 
 #pragma once
@@ -71,12 +72,24 @@ warmupFromEnv(std::size_t fallback = 0)
     return fallback;
 }
 
+/**
+ * The workload list LVPSIM_SUITE selects: `smoke` or `full` (the
+ * default when unset). Any other value exits with status 2.
+ */
 inline std::vector<std::string>
 suiteFromEnv()
 {
     if (const char *s = std::getenv("LVPSIM_SUITE")) {
-        if (std::string(s) == "smoke")
+        const std::string_view v = s;
+        if (v == "smoke")
             return trace::smokeWorkloadNames();
+        if (v != "full") {
+            std::fprintf(stderr,
+                         "bad LVPSIM_SUITE value '%s' (want smoke or "
+                         "full)\n",
+                         s);
+            std::exit(2);
+        }
     }
     return trace::allWorkloadNames();
 }

@@ -98,8 +98,8 @@ workloadResultFromJson(const JsonValue &v, WorkloadResult &out)
     if (!name || !name->isString())
         return false;
     out.workload = name->asString();
-    // Pre-TraceSource files lack the trace metadata; keep the struct
-    // defaults ("synthetic", 0) for those.
+    // Files written before trace metadata was recorded lack it;
+    // keep the struct defaults ("synthetic", 0) for those.
     if (const JsonValue *tf = v.find("trace_format"))
         if (tf->isString())
             out.traceFormat = tf->asString();

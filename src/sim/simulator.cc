@@ -10,9 +10,7 @@
 #include "pipeline/snapshot_io.hh"
 #include "sim/checkpoint_store.hh"
 #include "sim/sampled.hh"
-#include "trace/kernel_spec.hh"
 #include "trace/trace_spec.hh"
-#include "trace/workloads.hh"
 
 namespace lvpsim
 {
@@ -180,38 +178,14 @@ TraceCache::lookup(const std::string &workload, std::size_t max_ops,
                             std::to_string(max_ops) + "#" +
                             std::to_string(seed);
     return cache.get(key, [&](Info &info) {
-        const trace::TraceSpec spec = trace::parseTraceSpec(workload);
-        if (spec.kind == trace::TraceKind::Synthetic) {
-            // Identical to the historical path: generateWorkload
-            // output, bit for bit, and an identity that needs no
-            // file hashing.
-            info.trace =
-                std::make_shared<const std::vector<trace::MicroOp>>(
-                    trace::generateWorkload(spec.name, max_ops,
-                                            seed));
-            // Canonicalized so equivalent kernel-spec spellings
-            // share TraceCache / checkpoint-cache entries.
-            info.identity = "synth:" +
-                            trace::canonicalSyntheticName(spec.name) +
-                            "#" + std::to_string(max_ops) + "#" +
-                            std::to_string(seed);
-            info.format = "synthetic";
-            return;
-        }
         std::string err;
-        auto src = trace::openTraceSource(spec, max_ops, seed, &err);
-        if (!src) {
-            lvp_fatal("cannot open trace '%s': %s", spec.name.c_str(),
-                      err.c_str());
-        }
-        // File traces are truncated to the run's instruction budget;
-        // the cap is part of the identity because it changes the
-        // delivered stream.
+        auto t = trace::loadTrace(workload, max_ops, seed, &err);
+        if (!t)
+            lvp_fatal("%s", err.c_str());
         info.trace = std::make_shared<const std::vector<trace::MicroOp>>(
-            trace::materialize(*src, max_ops));
-        info.identity =
-            src->identity() + "#cap" + std::to_string(max_ops);
-        info.format = src->format();
+            std::move(t->ops));
+        info.identity = std::move(t->identity);
+        info.format = std::move(t->format);
     });
 }
 

@@ -113,10 +113,10 @@ void checkTraceLengthOrExit(const RunConfig &rc);
  *
  * The workload argument is a trace *spec* (see trace/trace_spec.hh):
  * a bare synthetic kernel name, `lvpt:PATH` for a recorded binary, or
- * `cvp:PATH` for a CVP-1 championship trace. File-backed traces are
- * truncated to max_ops instructions (0 = whole file) and an
- * unreadable file is fatal() — callers wanting a recoverable error
- * should probe with `trace::openTraceSource` first.
+ * `cvp:PATH` for a CVP-1 championship trace, loaded by
+ * `trace::loadTrace`. A spec the loader rejects is fatal() — callers
+ * wanting a recoverable error should probe with `trace::loadTrace`
+ * first.
  *
  * Thread-safe: a memory-only OnceCache (sim/once_cache.hh) generates
  * each distinct (workload, max_ops, seed) key exactly once, however
@@ -132,8 +132,8 @@ class TraceCache
     {
         TracePtr trace;
         /**
-         * Trace identity for cache keys (TraceSource::identity plus
-         * the truncation budget): equal identity => bit-identical
+         * Trace identity for cache keys (trace::LoadedTrace::
+         * identity): equal identity => bit-identical
          * instruction stream. runKey() folds it into the keys of
          * CheckpointCache and BaselineCache so a rewritten trace
          * file can never alias a stale entry.

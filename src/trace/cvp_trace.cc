@@ -438,25 +438,5 @@ saveCvpTraceFile(const std::string &path,
     return true;
 }
 
-std::unique_ptr<CvpTraceSource>
-CvpTraceSource::open(const std::string &path, std::string *error,
-                     std::size_t max_records)
-{
-    // Cannot use make_unique: the constructor is private.
-    std::unique_ptr<CvpTraceSource> src(new CvpTraceSource(path));
-    if (!loadCvpTraceFile(path, src->ops, error, max_records))
-        return nullptr;
-    src->contentHash = hashTrace(src->ops);
-    return src;
-}
-
-std::string
-CvpTraceSource::identity() const
-{
-    return "cvp:" + name() + "#" +
-           std::to_string(instructionCount()) + "#" +
-           std::to_string(contentHash);
-}
-
 } // namespace trace
 } // namespace lvpsim

@@ -1,7 +1,7 @@
 /**
  * @file
- * CVP-1 championship trace format: reader, writer, and the
- * CvpTraceSource backend.
+ * CVP-1 championship trace format: reader and writer (`cvp:PATH`
+ * specs load through `loadTrace`, trace_spec.hh).
  *
  * The public CVP-1 infrastructure (the load value / value prediction
  * championships) defined a de-facto standard trace format: a flat
@@ -29,11 +29,10 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "trace/trace_source.hh"
+#include "trace/instruction.hh"
 
 namespace lvpsim
 {
@@ -137,33 +136,6 @@ CvpInstClass cvpClassOf(OpClass c);
  *    into [1, 8].
  */
 MicroOp cvpProjection(const MicroOp &op);
-
-/**
- * The CVP-1 file backend: parses the whole file up front (bounded by
- * @p max_records) and replays it as a TraceSource.
- */
-class CvpTraceSource : public BufferedTraceSource
-{
-  public:
-    /**
-     * Open and fully parse @p path (gzip handled transparently).
-     * @return the source, or nullptr with @p error set
-     */
-    static std::unique_ptr<CvpTraceSource>
-    open(const std::string &path, std::string *error = nullptr,
-         std::size_t max_records = 0);
-
-    const char *format() const override { return "cvp"; }
-
-    std::string identity() const override;
-
-  private:
-    explicit CvpTraceSource(std::string path)
-        : BufferedTraceSource(std::move(path))
-    {}
-
-    std::uint64_t contentHash = 0;
-};
 
 } // namespace trace
 } // namespace lvpsim

@@ -130,16 +130,5 @@ profileTrace(const std::vector<MicroOp> &ops,
     return p.finish();
 }
 
-IntervalProfile
-profileTrace(TraceSource &src, std::uint64_t interval_len)
-{
-    IntervalProfiler p(interval_len);
-    src.reset();
-    MicroOp op;
-    while (src.next(op))
-        p.observe(op);
-    return p.finish();
-}
-
 } // namespace trace
 } // namespace lvpsim

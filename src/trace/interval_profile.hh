@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "trace/instruction.hh"
-#include "trace/trace_source.hh"
 
 namespace lvpsim
 {
@@ -96,10 +95,6 @@ class IntervalProfiler
 
 /** Profile an already-materialized trace in one pass. */
 IntervalProfile profileTrace(const std::vector<MicroOp> &ops,
-                             std::uint64_t interval_len);
-
-/** Profile any TraceSource in one streaming pass (resets it first). */
-IntervalProfile profileTrace(TraceSource &src,
                              std::uint64_t interval_len);
 
 } // namespace trace

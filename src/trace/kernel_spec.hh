@@ -174,7 +174,7 @@ std::uint64_t streamFootprint(const StreamSpec &s);
 
 /**
  * A SynthKernel driven by a KernelSpec. name() is the canonical spec
- * text, so SyntheticSource identities are canonical automatically.
+ * text, the same string canonicalSyntheticName() returns.
  */
 class SpecKernel : public SynthKernel
 {

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <sstream>
 
 namespace lvpsim
 {
@@ -66,6 +67,19 @@ unpack(const Record &r)
     op.taken = (r.flags & 1) != 0;
     op.exclusiveMem = (r.flags & 2) != 0;
     return op;
+}
+
+constexpr std::uint64_t fnvOffset = 0xcbf29ce484222325ull;
+constexpr std::uint64_t fnvPrime = 0x100000001b3ull;
+
+std::uint64_t
+fnvMix(std::uint64_t h, std::uint64_t v)
+{
+    for (unsigned i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= fnvPrime;
+    }
+    return h;
 }
 
 } // anonymous namespace
@@ -140,6 +154,57 @@ loadTraceFile(const std::string &path, std::vector<MicroOp> &ops,
         return false;
     }
     return readTrace(is, ops, error);
+}
+
+std::uint64_t
+hashTrace(const std::vector<MicroOp> &ops)
+{
+    // Hash canonical field values, never raw struct bytes: padding
+    // would make the hash compiler-dependent.
+    std::uint64_t h = fnvMix(fnvOffset, ops.size());
+    for (const MicroOp &op : ops) {
+        h = fnvMix(h, op.pc);
+        h = fnvMix(h, std::uint64_t(op.cls));
+        h = fnvMix(h, op.dst);
+        for (RegId s : op.src)
+            h = fnvMix(h, s);
+        h = fnvMix(h, op.effAddr);
+        h = fnvMix(h, op.memSize);
+        h = fnvMix(h, op.memValue);
+        h = fnvMix(h, (op.exclusiveMem ? 2u : 0u) |
+                          (op.taken ? 1u : 0u));
+        h = fnvMix(h, op.target);
+    }
+    return h;
+}
+
+std::string
+debugString(const MicroOp &op)
+{
+    std::ostringstream os;
+    os << std::hex;
+    os << "pc=0x" << op.pc;
+    os << std::dec << " cls=" << unsigned(op.cls) << " dst=";
+    if (op.dst == invalidReg)
+        os << "-";
+    else
+        os << op.dst;
+    os << " src=";
+    for (std::size_t i = 0; i < op.src.size(); ++i) {
+        if (i)
+            os << ",";
+        if (op.src[i] == invalidReg)
+            os << "-";
+        else
+            os << op.src[i];
+    }
+    os << " ea=0x" << std::hex << op.effAddr;
+    os << std::dec << " sz=" << unsigned(op.memSize);
+    os << " val=0x" << std::hex << op.memValue;
+    os << std::dec << " excl=" << (op.exclusiveMem ? 1 : 0);
+    os << " taken=" << (op.taken ? 1 : 0);
+    os << " tgt=0x" << std::hex << op.target;
+    return os.str();
 }
 
 } // namespace trace

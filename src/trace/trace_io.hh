@@ -7,7 +7,9 @@
  * produced traces (e.g. converted CVP-1 traces) into the pipeline.
  *
  * Format: a 16-byte header (magic "LVPT", version, count) followed by
- * fixed-size little-endian records, one per MicroOp.
+ * fixed-size little-endian records, one per MicroOp. Also home to the
+ * two format-independent helpers: a content hash and a one-line
+ * rendering of a MicroOp.
  */
 
 #pragma once
@@ -43,6 +45,17 @@ bool saveTraceFile(const std::string &path,
 bool loadTraceFile(const std::string &path,
                    std::vector<MicroOp> &ops,
                    std::string *error = nullptr);
+
+/** FNV-1a content hash over a MicroOp stream (trace identities). */
+std::uint64_t hashTrace(const std::vector<MicroOp> &ops);
+
+/**
+ * Stable single-line rendering of one MicroOp, e.g.
+ * `pc=0x4000 cls=4 dst=3 src=1,-,- ea=0x10000 sz=8 val=0x2a
+ * excl=0 taken=0 tgt=0x0` — the format golden-trace fixtures are
+ * diffed in (the `.golden` files under tests/data).
+ */
+std::string debugString(const MicroOp &op);
 
 } // namespace trace
 } // namespace lvpsim

@@ -1,12 +1,13 @@
 /**
  * @file
- * Workload specs: the one-string naming scheme that selects a
- * TraceSource backend.
+ * Workload specs: the one-string naming scheme for every trace lvpsim
+ * can run, and the one loader behind it.
  *
- * Everywhere lvpsim used to take a synthetic kernel name (CLI
- * `--workloads`, SuiteRunner rows, cache keys) it now takes a *spec*:
+ * Everywhere lvpsim takes a workload (CLI `--workload`, SuiteRunner
+ * rows, cache keys) it takes a *spec*:
  *
- *  - `NAME` or `synth:NAME`  — the registered synthetic kernel NAME;
+ *  - `NAME` or `synth:NAME`  — the registered synthetic kernel NAME,
+ *                              or a kernel spec (docs/kernel_dsl.md);
  *  - `lvpt:PATH`             — a recorded `.lvpt` binary trace;
  *  - `cvp:PATH`              — a CVP-1 championship trace
  *                              (optionally gzip-compressed).
@@ -18,25 +19,26 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
-#include "trace/trace_source.hh"
+#include "trace/instruction.hh"
 
 namespace lvpsim
 {
 namespace trace
 {
 
-/** Which TraceSource backend a spec selects. */
+/** Which kind of input a spec names. */
 enum class TraceKind
 {
-    Synthetic, ///< generated kernel (SyntheticSource)
-    Lvpt,      ///< recorded `.lvpt` binary (RecordedSource)
-    Cvp,       ///< CVP-1 championship trace (CvpTraceSource)
+    Synthetic, ///< generated kernel (workloads.hh)
+    Lvpt,      ///< recorded `.lvpt` binary (trace_io.hh)
+    Cvp,       ///< CVP-1 championship trace (cvp_trace.hh)
 };
 
-/** A parsed workload spec: backend + kernel name or file path. */
+/** A parsed workload spec: kind + kernel name or file path. */
 struct TraceSpec
 {
     TraceKind kind = TraceKind::Synthetic;
@@ -53,21 +55,39 @@ TraceSpec parseTraceSpec(const std::string &spec);
 /** Canonical spec string (bare name for synthetic kernels). */
 std::string traceSpecString(const TraceSpec &spec);
 
+/** A loaded trace plus the metadata the sim layer keys on. */
+struct LoadedTrace
+{
+    std::vector<MicroOp> ops; ///< the instruction stream
+    /**
+     * Equal identity => bit-identical ops; the sim caches key on it
+     * (docs/traces.md §"Trace identity and the sweep caches"):
+     *  - `synth:<canonical kernel name>#<max_ops>#<seed>`;
+     *  - `lvpt:PATH#<file count>#<file hash>#cap<max_ops>`;
+     *  - `cvp:PATH#<parsed count>#<parsed hash>#cap<max_ops>`.
+     * File identities hash content, so a rewritten file never
+     * aliases a stale cache entry.
+     */
+    std::string identity;
+    std::string format; ///< "synthetic", "lvpt", or "cvp"
+};
+
 /**
- * Instantiate the backend a spec selects.
+ * Load the trace @p spec names.
  *
- * @param spec parsed workload spec
- * @param max_ops instruction budget: generation length for synthetic
- *        kernels, parse bound for CVP files (0 = unbounded); `.lvpt`
- *        replay is bounded downstream by `materialize`
- * @param seed synthetic generation seed (ignored for file backends)
- * @param[out] error reason on failure (file backends only; unknown
- *             synthetic kernels abort, matching `generateWorkload`)
- * @return the source, or nullptr with @p error set
+ * @param spec a trace spec (see the file comment)
+ * @param max_ops instruction budget: generation length for kernels,
+ *        parse bound for CVP files, truncation for `.lvpt` files
+ *        (0 = whole file)
+ * @param seed kernel generation seed (ignored for files)
+ * @param[out] err on failure `unknown workload '…'`,
+ *        `bad kernel spec '…': …` or `cannot load trace '…': …`
+ * @return the trace, or nullopt with @p err set
  */
-std::unique_ptr<TraceSource>
-openTraceSource(const TraceSpec &spec, std::size_t max_ops,
-                std::uint64_t seed, std::string *error = nullptr);
+std::optional<LoadedTrace> loadTrace(const std::string &spec,
+                                     std::size_t max_ops,
+                                     std::uint64_t seed,
+                                     std::string *err);
 
 } // namespace trace
 } // namespace lvpsim

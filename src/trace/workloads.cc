@@ -62,27 +62,35 @@ smokeWorkloadNames()
     };
 }
 
+std::unique_ptr<SynthKernel>
+makeWorkload(const std::string &name, std::string *error)
+{
+    const auto &reg = WorkloadRegistry::instance();
+    if (reg.contains(name))
+        return reg.find(name).make();
+    // Not a registered kernel: try the `synth:` spec grammar, so
+    // parameterized kernel specs work everywhere a workload name
+    // does.
+    std::string err;
+    KernelSpec spec = parseKernelSpec(name, &err);
+    if (err.empty())
+        return std::make_unique<SpecKernel>(std::move(spec));
+    if (error)
+        *error = looksLikeKernelSpec(name)
+                     ? "bad kernel spec '" + name + "': " + err
+                     : "unknown workload '" + name + "'";
+    return nullptr;
+}
+
 std::vector<MicroOp>
 generateWorkload(const std::string &name, std::size_t max_ops,
                  std::uint64_t seed)
 {
-    const auto &reg = WorkloadRegistry::instance();
-    if (!reg.contains(name)) {
-        // Not a registered kernel: try the `synth:` spec grammar
-        // (docs/kernel_dsl.md), so parameterized kernel specs work
-        // everywhere a workload name does.
-        std::string err;
-        KernelSpec spec = parseKernelSpec(name, &err);
-        if (err.empty())
-            return SpecKernel(std::move(spec)).generate(max_ops,
-                                                        seed);
-        if (looksLikeKernelSpec(name))
-            lvp_fatal("bad kernel spec '%s': %s", name.c_str(),
-                      err.c_str());
-        // Plain unknown names keep the historical fatal below.
-    }
-    const auto &info = reg.find(name);
-    return info.make()->generate(max_ops, seed);
+    std::string err;
+    const auto kernel = makeWorkload(name, &err);
+    if (!kernel)
+        lvp_fatal("%s", err.c_str());
+    return kernel->generate(max_ops, seed);
 }
 
 } // namespace trace

@@ -56,7 +56,17 @@ std::vector<std::string> allWorkloadNames();
 /** A small subset used by fast tests ("smoke" suite). */
 std::vector<std::string> smokeWorkloadNames();
 
-/** Generate a workload's trace by name. */
+/**
+ * The kernel a synthetic workload name selects: a registered kernel,
+ * else a kernel spec in the `synth:` grammar (docs/kernel_dsl.md).
+ * @return the kernel, or nullptr with @p error set to
+ *         `unknown workload '…'` or `bad kernel spec '…': …`
+ */
+std::unique_ptr<SynthKernel> makeWorkload(const std::string &name,
+                                          std::string *error);
+
+/** Generate a workload's trace by name; fatal() if makeWorkload
+ *  fails. */
 std::vector<MicroOp> generateWorkload(const std::string &name,
                                       std::size_t max_ops,
                                       std::uint64_t seed = 1);

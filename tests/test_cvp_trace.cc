@@ -18,7 +18,8 @@
 #include "pipeline/core_config.hh"
 #include "qa/differential.hh"
 #include "trace/cvp_trace.hh"
-#include "trace/trace_source.hh"
+#include "trace/trace_io.hh"
+#include "trace/trace_spec.hh"
 
 using namespace lvpsim;
 using trace::CvpInstClass;
@@ -152,16 +153,17 @@ TEST(CvpTrace, FixtureRunsDifferentialCleanly)
 
 TEST(CvpTrace, FixtureThroughTraceSource)
 {
+    const std::string spec = std::string("cvp:") + fixturePath;
     std::string err;
-    auto src = trace::CvpTraceSource::open(fixturePath, &err);
-    ASSERT_NE(src, nullptr) << err;
-    EXPECT_STREQ(src->format(), "cvp");
-    EXPECT_EQ(src->instructionCount(), 200u);
-    EXPECT_EQ(src->identity().rfind("cvp:", 0), 0u);
-    // max_records caps the parse.
-    auto head = trace::CvpTraceSource::open(fixturePath, &err, 10);
-    ASSERT_NE(head, nullptr) << err;
-    EXPECT_EQ(head->instructionCount(), 10u);
+    auto t = trace::loadTrace(spec, 0, 1, &err);
+    ASSERT_TRUE(t) << err;
+    EXPECT_EQ(t->format, "cvp");
+    EXPECT_EQ(t->ops.size(), 200u);
+    EXPECT_EQ(t->identity.rfind("cvp:", 0), 0u);
+    // The budget bounds the parse.
+    auto head = trace::loadTrace(spec, 10, 1, &err);
+    ASSERT_TRUE(head) << err;
+    EXPECT_EQ(head->ops.size(), 10u);
 }
 
 TEST(CvpTrace, RoundTripEqualsProjection)

@@ -58,6 +58,13 @@ TEST(Options, SuiteSelection)
     const auto full = suiteFromEnv();
     EXPECT_LT(smoke.size(), full.size());
     EXPECT_EQ(smoke.size(), 8u);
+    setenv("LVPSIM_SUITE", "full", 1);
+    EXPECT_EQ(suiteFromEnv().size(), full.size());
+    // A typo must not silently run the full suite.
+    setenv("LVPSIM_SUITE", "smok", 1);
+    EXPECT_EXIT(suiteFromEnv(), ::testing::ExitedWithCode(2),
+                "LVPSIM_SUITE");
+    unsetenv("LVPSIM_SUITE");
 }
 
 TEST(TextTable, AlignsColumns)

@@ -17,7 +17,7 @@
 #include "qa/property.hh"
 #include "trace/cvp_trace.hh"
 #include "trace/trace_io.hh"
-#include "trace/trace_source.hh"
+#include "trace/trace_spec.hh"
 
 using namespace lvpsim;
 using trace::MicroOp;
@@ -72,9 +72,8 @@ TEST(TraceRoundTripFuzz, WriteReadWriteIsByteIdentical)
 
 TEST(TraceRoundTripFuzz, RecordReplayThroughTraceSource)
 {
-    // The recorder/RecordedSource pair: any fuzzed trace written via
-    // recordTrace() replays bit-identically (and with an unchanged
-    // content hash) through the TraceSource interface.
+    // Any fuzzed trace written as a `.lvpt` file loads back through
+    // loadTrace bit-identically, with an unchanged content hash.
     const auto r = qa::forAllSeeds(40, 0x5eed, [](qa::Gen &g) {
         const auto ops = qa::genTrace(g);
         const std::string path = testing::TempDir() +
@@ -89,16 +88,13 @@ TEST(TraceRoundTripFuzz, RecordReplayThroughTraceSource)
             f << os.str();
         }
         std::string err;
-        auto src = trace::RecordedSource::open(path, &err);
+        auto t = trace::loadTrace("lvpt:" + path, 0, 0, &err);
         std::remove(path.c_str());
-        if (!src)
-            throw std::runtime_error("open failed: " + err);
-        if (src->instructionCount() != ops.size())
+        if (!t)
+            throw std::runtime_error("load failed: " + err);
+        if (!sameOps(ops, t->ops))
             return false;
-        if (!sameOps(ops, src->instructions()))
-            return false;
-        return trace::hashTrace(src->instructions()) ==
-               trace::hashTrace(ops);
+        return trace::hashTrace(t->ops) == trace::hashTrace(ops);
     });
     EXPECT_TRUE(r.ok) << r.describe();
     EXPECT_EQ(r.casesRun, 40u);

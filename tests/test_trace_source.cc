@@ -1,9 +1,10 @@
 /**
  * @file
- * TraceSource contract tests: the synthetic backend is bit-identical
- * to the historical generateWorkload() path, reset() replays the
- * exact stream, the recorder/RecordedSource pair round-trips, and
- * trace specs parse/print consistently.
+ * loadTrace contract tests: the synthetic path is bit-identical to
+ * generateWorkload(), the `.lvpt` save/load pair round-trips, budgets
+ * truncate, identity strings (the sim caches' key component) are
+ * pinned, errors come back as messages, and trace specs
+ * parse/print consistently.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +12,7 @@
 #include <cstdio>
 #include <string>
 
-#include "trace/trace_source.hh"
+#include "trace/trace_io.hh"
 #include "trace/trace_spec.hh"
 #include "trace/workloads.hh"
 
@@ -39,80 +40,129 @@ tempPath(const char *name)
     return testing::TempDir() + name;
 }
 
+/** loadTrace that must succeed. */
+trace::LoadedTrace
+load(const std::string &spec, std::size_t max_ops,
+     std::uint64_t seed = 1)
+{
+    std::string err;
+    auto t = trace::loadTrace(spec, max_ops, seed, &err);
+    EXPECT_TRUE(t.has_value()) << spec << ": " << err;
+    return t ? std::move(*t) : trace::LoadedTrace{};
+}
+
+/** The loader's message for a spec that must fail. */
+std::string
+loadError(const std::string &spec)
+{
+    std::string err;
+    EXPECT_FALSE(trace::loadTrace(spec, 100, 1, &err).has_value())
+        << spec;
+    return err;
+}
+
 } // anonymous namespace
 
 TEST(TraceSource, SyntheticMatchesGenerateWorkload)
 {
-    trace::SyntheticSource src("memset_loop", 2000, 1);
+    const auto t = load("memset_loop", 2000);
     const auto direct = trace::generateWorkload("memset_loop", 2000, 1);
-    EXPECT_TRUE(sameOps(src.instructions(), direct));
-    EXPECT_EQ(src.instructionCount(), direct.size());
-    EXPECT_EQ(src.name(), "memset_loop");
-    EXPECT_STREQ(src.format(), "synthetic");
-    EXPECT_EQ(src.identity(), "synth:memset_loop#2000#1");
-}
-
-TEST(TraceSource, ResetReplaysIdenticalStream)
-{
-    trace::SyntheticSource src("pointer_chase", 500, 7);
-    const auto first = trace::materialize(src);
-    EXPECT_EQ(first.size(), src.instructionCount());
-
-    MicroOp op;
-    EXPECT_FALSE(src.next(op)); // drained
-
-    src.reset();
-    const auto second = trace::materialize(src);
-    EXPECT_TRUE(sameOps(first, second));
+    EXPECT_TRUE(sameOps(t.ops, direct));
+    EXPECT_EQ(t.format, "synthetic");
+    EXPECT_EQ(t.identity, "synth:memset_loop#2000#1");
 }
 
 TEST(TraceSource, MaterializeHonorsBudget)
 {
-    trace::SyntheticSource src("stream_sum", 1000, 1);
-    const auto head = trace::materialize(src, 100);
-    ASSERT_EQ(head.size(), 100u);
-    src.reset();
-    const auto all = trace::materialize(src);
-    ASSERT_GE(all.size(), 100u);
+    // A file trace is truncated to the budget; its identity still
+    // counts the whole file and records the cap.
+    const std::string path = tempPath("budget.lvpt");
+    const auto all = trace::generateWorkload("stream_sum", 1000, 1);
+    ASSERT_TRUE(trace::saveTraceFile(path, all));
+    const auto head = load("lvpt:" + path, 100);
+    ASSERT_EQ(head.ops.size(), 100u);
     for (std::size_t i = 0; i < 100; ++i)
-        EXPECT_EQ(trace::debugString(head[i]),
+        EXPECT_EQ(trace::debugString(head.ops[i]),
                   trace::debugString(all[i]));
+    EXPECT_EQ(head.identity, "lvpt:" + path + "#1000#" +
+                                 std::to_string(trace::hashTrace(all)) +
+                                 "#cap100");
+    std::remove(path.c_str());
 }
 
 TEST(TraceSource, RecordReplayRoundTrip)
 {
     const std::string path = tempPath("roundtrip.lvpt");
-    trace::SyntheticSource src("hash_probe", 800, 3);
+    const auto ops = trace::generateWorkload("hash_probe", 800, 3);
+    ASSERT_TRUE(trace::saveTraceFile(path, ops));
 
-    std::string err;
-    const std::size_t written = trace::recordTrace(src, path, 0, &err);
-    ASSERT_EQ(written, src.instructionCount()) << err;
-
-    auto replay = trace::RecordedSource::open(path, &err);
-    ASSERT_NE(replay, nullptr) << err;
-    EXPECT_STREQ(replay->format(), "lvpt");
-    EXPECT_EQ(replay->instructionCount(), src.instructionCount());
-    EXPECT_TRUE(sameOps(replay->instructions(), src.instructions()));
-    EXPECT_EQ(trace::hashTrace(replay->instructions()),
-              trace::hashTrace(src.instructions()));
+    const auto replay = load("lvpt:" + path, 0);
+    EXPECT_EQ(replay.format, "lvpt");
+    EXPECT_TRUE(sameOps(replay.ops, ops));
+    EXPECT_EQ(trace::hashTrace(replay.ops), trace::hashTrace(ops));
     // Identity embeds the content hash: a distinct trace written to
     // the same path must get a distinct identity.
-    const std::string id1 = replay->identity();
-    trace::SyntheticSource other("stream_sum", 800, 3);
-    ASSERT_GT(trace::recordTrace(other, path), 0u);
-    auto replay2 = trace::RecordedSource::open(path, &err);
-    ASSERT_NE(replay2, nullptr) << err;
-    EXPECT_NE(replay2->identity(), id1);
+    ASSERT_TRUE(trace::saveTraceFile(
+        path, trace::generateWorkload("stream_sum", 800, 3)));
+    EXPECT_NE(load("lvpt:" + path, 0).identity, replay.identity);
     std::remove(path.c_str());
 }
 
 TEST(TraceSource, OpenMissingFileFailsCleanly)
 {
-    std::string err;
-    auto src = trace::RecordedSource::open(
-        tempPath("does_not_exist.lvpt"), &err);
-    EXPECT_EQ(src, nullptr);
-    EXPECT_FALSE(err.empty());
+    const std::string path = tempPath("does_not_exist.lvpt");
+    EXPECT_EQ(loadError("lvpt:" + path)
+                  .rfind("cannot load trace '" + path + "': ", 0),
+              0u);
+    EXPECT_EQ(loadError("cvp:" + path)
+                  .rfind("cannot load trace '" + path + "': ", 0),
+              0u);
+}
+
+TEST(TraceSpec, LoadErrorsNameTheSpec)
+{
+    EXPECT_EQ(loadError("no_such_thing"),
+              "unknown workload 'no_such_thing'");
+    EXPECT_EQ(loadError("synth:no_such_thing"),
+              "unknown workload 'no_such_thing'");
+    EXPECT_EQ(loadError("synth:[iters=0]bogus()")
+                  .rfind("bad kernel spec '[iters=0]bogus()': ", 0),
+              0u);
+}
+
+TEST(TraceSpec, IdentityStringsArePinned)
+{
+    // The identity feeds every ckpt:/base:/plan: store key, and the
+    // content hash pins the trace bytes: a change here invalidates
+    // every persistent store.
+    const auto kernel = load("pointer_chase", 500, 7);
+    EXPECT_EQ(kernel.identity, "synth:pointer_chase#500#7");
+    EXPECT_EQ(trace::hashTrace(kernel.ops), 16508695597750550471ull);
+
+    // A non-canonical spelling keys on the canonical spec text.
+    const auto spec =
+        load("synth:[iters=100] stride(wset=400) , const(v=66)", 500);
+    EXPECT_EQ(spec.identity,
+              "synth:[iters=100]stride(wset=400),const(v=0x42)#500#1");
+    EXPECT_EQ(trace::hashTrace(spec.ops), 1444844408742028254ull);
+
+    // A file identity counts and hashes the whole file, then the cap.
+    const std::string path = tempPath("pinned.lvpt");
+    ASSERT_TRUE(trace::saveTraceFile(path, kernel.ops));
+    const auto lvpt = load("lvpt:" + path, 400);
+    EXPECT_EQ(lvpt.identity,
+              "lvpt:" + path + "#500#16508695597750550471#cap400");
+    EXPECT_EQ(trace::hashTrace(lvpt.ops), 8559333151647543215ull);
+    std::remove(path.c_str());
+
+    // A CVP parse stops at the cap, so it counts and hashes only that.
+    const std::string cvpPath =
+        LVPSIM_TEST_DATA_DIR "/mini_pointer_chase.cvp";
+    const auto cvp = load("cvp:" + cvpPath, 10);
+    EXPECT_EQ(cvp.format, "cvp");
+    EXPECT_EQ(cvp.identity,
+              "cvp:" + cvpPath + "#10#15705756322278483944#cap10");
+    EXPECT_EQ(trace::hashTrace(cvp.ops), 15705756322278483944ull);
 }
 
 TEST(TraceSpec, ParseAndPrint)
@@ -139,12 +189,9 @@ TEST(TraceSpec, ParseAndPrint)
 
 TEST(TraceSpec, OpenSyntheticViaFactory)
 {
-    std::string err;
-    auto src = trace::openTraceSource(
-        trace::parseTraceSpec("memset_loop"), 300, 1, &err);
-    ASSERT_NE(src, nullptr) << err;
-    EXPECT_STREQ(src->format(), "synthetic");
-    EXPECT_EQ(src->instructionCount(), 300u);
+    const auto t = load("memset_loop", 300);
+    EXPECT_EQ(t.format, "synthetic");
+    EXPECT_EQ(t.ops.size(), 300u);
 }
 
 TEST(TraceSource, DebugStringIsStable)

@@ -2,8 +2,9 @@
 # The pre-PR gate, in one command (documented in README.md):
 #
 #   configure -> build -> ctest (smoke + lint labels) -> ctest (fuzz
-#   label) -> ctest (store label) -> perf gates -> thread-safety tree
-#   -> lvplint -> doc links -> strict doxygen
+#   label) -> ctest (store label) -> ctest (hostile label) -> perf
+#   gates -> thread-safety tree -> lvplint -> doc links -> strict
+#   doxygen
 #
 #   tools/ci.sh [build-dir]            default build dir: ./build
 #
@@ -63,6 +64,13 @@ store_gate() {
     ctest --test-dir "$build" -L store --output-on-failure -j"$(nproc)"
 }
 
+hostile() {
+    # The external-input contract: every malformed flag, environment
+    # variable or workload spec exits with status exactly 2 and names
+    # what it rejected (the lvpsim_rejects tests, tools/CMakeLists.txt).
+    ctest --test-dir "$build" -L hostile --output-on-failure -j"$(nproc)"
+}
+
 perf_gates() {
     # The perf label runs the bench bit-rot smokes at toy scale plus
     # the three Release-only gates: perf_regression (floors vs every
@@ -101,6 +109,7 @@ gate "build" build_tree
 gate "ctest: smoke + lint" smoke_lint
 gate "ctest: fuzz" fuzz
 gate "ctest: store" store_gate
+gate "ctest: hostile" hostile
 gate "ctest: perf gates" perf_gates
 gate "thread-safety tree" thread_safety
 gate "lvplint" lvplint

@@ -11,12 +11,10 @@
  *   lvpsim_cli --suite --jobs 8 --json results.json
  */
 
-#include <cstring>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
-
-#include <fstream>
 
 #include "core/composite.hh"
 #include "core/eves.hh"
@@ -30,7 +28,6 @@
 #include "sim/sampled.hh"
 #include "sim/simulator.hh"
 #include "sim/tableio.hh"
-#include "trace/kernel_spec.hh"
 #include "trace/trace_io.hh"
 #include "trace/trace_spec.hh"
 #include "trace/workloads.hh"
@@ -46,7 +43,7 @@ struct CliOptions
     std::string predictor = "composite";
     std::size_t entries = 1024;
     std::size_t instrs = 0;
-    std::size_t warmup = 0;
+    std::optional<std::size_t> warmup; ///< unset = LVPSIM_WARMUP
     std::size_t sampleK = 0;
     std::size_t intervalLen = 0;
     std::uint64_t progress = 0;
@@ -59,16 +56,14 @@ struct CliOptions
     std::uint64_t seed = 1;
     std::string saveTrace;
     std::string saveCvp;
-    std::string loadTrace;
-    std::string traceFile;
-    std::string traceFormat = "auto";
     bool championship = false;
     bool suite = false;
     std::size_t jobs = 1;
     std::string jsonPath;
     std::string storeDir; ///< --store; "" = env / default resolution
     bool storeSet = false;
-    std::uint64_t storeMaxBytes = 0;
+    /// unset = LVPSIM_STORE_MAX_BYTES; 0 = unlimited
+    std::optional<std::uint64_t> storeMaxBytes;
 };
 
 void
@@ -122,13 +117,6 @@ usage()
         "  --save-trace <file>    write the workload trace (.lvpt)\n"
         "  --save-cvp <file>      export the trace in CVP-1 format\n"
         "                         (.gz suffix = gzip-compressed)\n"
-        "  --load-trace <file>    run a saved trace instead of a\n"
-        "                         generated workload\n"
-        "  --trace <file>         run a trace file (see "
-        "--trace-format)\n"
-        "  --trace-format <f>     auto|lvpt|cvp (default auto: "
-        "sniff the\n"
-        "                         LVPT magic, else CVP-1)\n"
         "  --championship         score the predictor through the "
         "CVP-1\n"
         "                         championship API instead of the "
@@ -206,12 +194,6 @@ parse(int argc, char **argv, CliOptions &o)
             o.saveTrace = next("--save-trace");
         else if (a == "--save-cvp")
             o.saveCvp = next("--save-cvp");
-        else if (a == "--load-trace")
-            o.loadTrace = next("--load-trace");
-        else if (a == "--trace")
-            o.traceFile = next("--trace");
-        else if (a == "--trace-format")
-            o.traceFormat = next("--trace-format");
         else if (a == "--championship")
             o.championship = true;
         else if (a == "--verbose")
@@ -269,19 +251,6 @@ makePredictor(const CliOptions &o, std::size_t instrs)
     }
     std::cerr << "unknown predictor '" << o.predictor << "'\n";
     std::exit(2);
-}
-
-/** Sniff a trace file's format: the LVPT magic means a recorded
- *  binary, anything else (including gzip) is treated as CVP-1. */
-std::string
-sniffTraceFormat(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    char m[4] = {0, 0, 0, 0};
-    is.read(m, 4);
-    if (is.gcount() == 4 && std::memcmp(m, "LVPT", 4) == 0)
-        return "lvpt";
-    return "cvp";
 }
 
 /** Write a results document; false (after complaining) on error. */
@@ -379,7 +348,7 @@ main(int argc, char **argv)
     }
     sim::RunConfig rc;
     rc.maxInstrs = o.instrs ? o.instrs : sim::instrsFromEnv(150000);
-    rc.warmupInstrs = o.warmup ? o.warmup : sim::warmupFromEnv();
+    rc.warmupInstrs = o.warmup ? *o.warmup : sim::warmupFromEnv();
     sim::checkTraceLengthOrExit(rc);
     rc.traceSeed = o.seed;
     rc.sampleK = o.sampleK;
@@ -396,11 +365,11 @@ main(int argc, char **argv)
     // --store wins, then $LVPSIM_STORE, then ~/.cache/lvpsim; "off"
     // disables. An unusable directory silently disables.
     {
-        std::uint64_t budget = o.storeMaxBytes;
-        if (budget == 0)
-            if (const char *e = std::getenv("LVPSIM_STORE_MAX_BYTES"))
-                budget =
-                    sim::parseCountOrExit("LVPSIM_STORE_MAX_BYTES", e);
+        std::uint64_t budget = 0;
+        if (o.storeMaxBytes)
+            budget = *o.storeMaxBytes;
+        else if (const char *e = std::getenv("LVPSIM_STORE_MAX_BYTES"))
+            budget = sim::parseCountOrExit("LVPSIM_STORE_MAX_BYTES", e);
         sim::CheckpointStore::instance().configure(
             sim::CheckpointStore::resolveDir(
                 o.storeSet ? o.storeDir : ""),
@@ -410,55 +379,14 @@ main(int argc, char **argv)
     if (o.suite)
         return runSuite(o, rc);
 
-    // Resolve the workload spec (see docs/traces.md): --trace FILE
-    // (format sniffed or forced) takes precedence; --load-trace is
-    // the historical spelling of --trace --trace-format lvpt;
-    // otherwise --workload is itself a spec (bare kernel name,
-    // lvpt:PATH or cvp:PATH).
-    std::string spec = o.workload;
-    if (!o.traceFile.empty()) {
-        std::string fmt = o.traceFormat;
-        if (fmt == "auto")
-            fmt = sniffTraceFormat(o.traceFile);
-        if (fmt != "lvpt" && fmt != "cvp") {
-            std::cerr << "bad --trace-format '" << o.traceFormat
-                      << "' (want auto, lvpt or cvp)\n";
-            return 2;
-        }
-        spec = fmt + ":" + o.traceFile;
-    } else if (!o.loadTrace.empty()) {
-        spec = "lvpt:" + o.loadTrace;
-    }
-
-    const trace::TraceSpec parsed = trace::parseTraceSpec(spec);
-    if (parsed.kind == trace::TraceKind::Synthetic) {
-        if (!trace::WorkloadRegistry::instance().contains(
-                parsed.name)) {
-            if (trace::looksLikeKernelSpec(parsed.name)) {
-                // A kernel-spec workload (docs/kernel_dsl.md):
-                // validate up front for a friendly error.
-                std::string err;
-                trace::parseKernelSpec(parsed.name, &err);
-                if (!err.empty()) {
-                    std::cerr << "bad kernel spec '" << parsed.name
-                              << "': " << err << "\n";
-                    return 2;
-                }
-            } else {
-                std::cerr << "unknown workload '" << parsed.name
-                          << "' (use --list, or a kernel spec; "
-                             "see docs/kernel_dsl.md)\n";
-                return 2;
-            }
-        }
-    } else {
-        // Probe the file up front for a friendly error (TraceCache
-        // would fatal() instead). A one-record bound keeps the
-        // probe cheap for large CVP traces.
+    // --workload is a trace spec (docs/traces.md). Probe it here so
+    // an unknown kernel, a bad kernel spec or an unreadable file
+    // exits 2 with the loader's message (TraceCache would fatal()
+    // instead); a one-instruction budget keeps the probe cheap.
+    {
         std::string err;
-        if (!trace::openTraceSource(parsed, 1, rc.traceSeed, &err)) {
-            std::cerr << "cannot load trace '" << parsed.name
-                      << "': " << err << "\n";
+        if (!trace::loadTrace(o.workload, 1, rc.traceSeed, &err)) {
+            std::cerr << err << "\n";
             return 2;
         }
     }
@@ -467,8 +395,7 @@ main(int argc, char **argv)
     // (runTrace simulates the warmup inline); file-backed traces are
     // truncated to that budget.
     const auto ops = sim::TraceCache::instance().get(
-        spec, sim::traceLength(rc), rc.traceSeed);
-    const std::string source = spec;
+        o.workload, sim::traceLength(rc), rc.traceSeed);
 
     if (!o.saveTrace.empty()) {
         if (!trace::saveTraceFile(o.saveTrace, *ops)) {
@@ -495,7 +422,7 @@ main(int argc, char **argv)
 
     if (o.classify) {
         const auto b = vp::classifyLoadPatterns(*ops);
-        std::cout << source << ": pattern1 " << 100.0 * b.frac1()
+        std::cout << o.workload << ": pattern1 " << 100.0 * b.frac1()
                   << "%  pattern2 " << 100.0 * b.frac2()
                   << "%  pattern3 " << 100.0 * b.frac3() << "%  ("
                   << b.total() << " loads)\n";
@@ -514,7 +441,7 @@ main(int argc, char **argv)
             champ = std::make_unique<cvp1::PipelineVpAdapter>(*inner);
         }
         const auto cs = cvp1::runChampionship(*ops, *champ);
-        std::cout << "workload:    " << source << "\n"
+        std::cout << "workload:    " << o.workload << "\n"
                   << "predictor:   " << champ->name()
                   << " (championship API, "
                   << double(champ->storageBits()) / 8192.0
@@ -538,15 +465,15 @@ main(int argc, char **argv)
     pipe::SimStats base, s;
     sim::SampledRunResult sampledVp;
     if (rc.sampleK) {
-        base = sim::runSampledWorkload(source, &none, rc).stats;
-        sampledVp = sim::runSampledWorkload(source, pred.get(), rc);
+        base = sim::runSampledWorkload(o.workload, &none, rc).stats;
+        sampledVp = sim::runSampledWorkload(o.workload, pred.get(), rc);
         s = sampledVp.stats;
     } else {
         base = sim::runTrace(*ops, &none, rc);
         s = sim::runTrace(*ops, pred.get(), rc);
     }
 
-    std::cout << "workload:   " << source << "  ("
+    std::cout << "workload:   " << o.workload << "  ("
               << rc.maxInstrs << " instructions)\n";
     if (rc.sampleK)
         std::cout << "sampled:    " << sampledVp.sampleK
@@ -571,9 +498,9 @@ main(int argc, char **argv)
         res.label = pred->name();
         res.storageBits = pred->storageBits();
         sim::WorkloadResult row;
-        row.workload = source;
+        row.workload = o.workload;
         const auto tinfo = sim::TraceCache::instance().info(
-            source, sim::traceLength(rc), rc.traceSeed);
+            o.workload, sim::traceLength(rc), rc.traceSeed);
         row.traceFormat = tinfo.format;
         row.traceInstructions = tinfo.trace->size();
         row.base = base;
