@@ -6,8 +6,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "microbench_main.hh"
-
 #include "core/cap.hh"
 #include "core/composite.hh"
 #include "core/cvp.hh"
@@ -126,9 +124,4 @@ BENCHMARK(BM_CapLookupTrain);
 BENCHMARK(BM_CompositePredictTrain)->Arg(256)->Arg(1024)->Arg(4096);
 BENCHMARK(BM_EvesPredictTrain);
 
-int
-main(int argc, char **argv)
-{
-    return lvpsim::bench::microbenchMain(argc, argv,
-                                         "micro_predictors");
-}
+BENCHMARK_MAIN();

@@ -6,8 +6,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "microbench_main.hh"
-
 #include "branch/tage.hh"
 #include "common/random.hh"
 #include "core/composite.hh"
@@ -100,8 +98,4 @@ BENCHMARK(BM_CacheHierarchyStream);
 BENCHMARK(BM_PipelineSimulation)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PipelineWithComposite)->Unit(benchmark::kMillisecond);
 
-int
-main(int argc, char **argv)
-{
-    return lvpsim::bench::microbenchMain(argc, argv, "micro_uarch");
-}
+BENCHMARK_MAIN();

@@ -40,7 +40,7 @@
 #include "sim/tableio.hh"
 #include "trace/workloads.hh"
 
-#include "bench_common.hh"
+#include "figures.hh"
 
 using namespace lvpsim;
 

@@ -8,8 +8,8 @@
  *                           (VP disabled; see RunConfig.warmupInstrs)
  *   LVPSIM_SUITE=smoke|full which workload list the benches sweep
  *
- * A count that is not a plain decimal number, or a suite other than
- * smoke or full, exits with status 2.
+ * A count that is not a plain decimal number, an instruction count
+ * of 0, or a suite other than smoke or full, exits with status 2.
  */
 
 #pragma once
@@ -51,15 +51,26 @@ parseCountOrExit(const char *what, std::string_view text)
     return n;
 }
 
-/** LVPSIM_INSTRS, or @p fallback when it is unset or 0. */
+/** parseCountOrExit for a count that must be at least 1: 0 also
+ *  exits with status 2, naming @p what. */
+inline std::uint64_t
+parsePositiveCountOrExit(const char *what, std::string_view text)
+{
+    const std::uint64_t n = parseCountOrExit(what, text);
+    if (n == 0) {
+        std::fprintf(stderr, "bad %s value '0' (must be at least 1)\n",
+                     what);
+        std::exit(2);
+    }
+    return n;
+}
+
+/** LVPSIM_INSTRS, or @p fallback when it is unset. */
 inline std::size_t
 instrsFromEnv(std::size_t fallback = 400000)
 {
-    if (const char *s = std::getenv("LVPSIM_INSTRS")) {
-        const std::uint64_t v = parseCountOrExit("LVPSIM_INSTRS", s);
-        if (v > 0)
-            return std::size_t(v);
-    }
+    if (const char *s = std::getenv("LVPSIM_INSTRS"))
+        return std::size_t(parsePositiveCountOrExit("LVPSIM_INSTRS", s));
     return fallback;
 }
 

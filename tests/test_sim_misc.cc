@@ -26,8 +26,9 @@ TEST(Options, InstrsFromEnvironment)
 {
     setenv("LVPSIM_INSTRS", "777", 1);
     EXPECT_EQ(instrsFromEnv(1), 777u);
-    setenv("LVPSIM_INSTRS", "0", 1); // 0 selects the fallback
-    EXPECT_EQ(instrsFromEnv(42), 42u);
+    setenv("LVPSIM_INSTRS", "0", 1); // 0 is rejected, not "unset"
+    EXPECT_EXIT(instrsFromEnv(42), ::testing::ExitedWithCode(2),
+                "LVPSIM_INSTRS");
     unsetenv("LVPSIM_INSTRS");
 }
 

@@ -2,9 +2,9 @@
 # The pre-PR gate, in one command (documented in README.md):
 #
 #   configure -> build -> ctest (smoke + lint labels) -> ctest (fuzz
-#   label) -> ctest (store label) -> ctest (hostile label) -> perf
-#   gates -> thread-safety tree -> lvplint -> doc links -> strict
-#   doxygen
+#   label) -> ctest (store label) -> ctest (hostile label) -> ctest
+#   (shape label) -> perf gates -> thread-safety tree -> lvplint ->
+#   doc links -> strict doxygen
 #
 #   tools/ci.sh [build-dir]            default build dir: ./build
 #
@@ -71,6 +71,14 @@ hostile() {
     ctest --test-dir "$build" -L hostile --output-on-failure -j"$(nproc)"
 }
 
+shape() {
+    # The paper-shape claims (tests/test_shape.cc): every claim of the
+    # figure table holds on the full suite at the calibrated scale,
+    # for seed 1 and held-out seed 1009. Each seed is one test that
+    # already uses every core, so the two run one after the other.
+    ctest --test-dir "$build" -L shape --output-on-failure
+}
+
 perf_gates() {
     # The perf label runs the bench bit-rot smokes at toy scale plus
     # the three Release-only gates: perf_regression (floors vs every
@@ -110,6 +118,7 @@ gate "ctest: smoke + lint" smoke_lint
 gate "ctest: fuzz" fuzz
 gate "ctest: store" store_gate
 gate "ctest: hostile" hostile
+gate "ctest: shape" shape
 gate "ctest: perf gates" perf_gates
 gate "thread-safety tree" thread_safety
 gate "lvplint" lvplint

@@ -11,6 +11,7 @@
  *   lvpsim_cli --suite --jobs 8 --json results.json
  */
 
+#include <algorithm>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -42,7 +43,7 @@ struct CliOptions
     std::string workload = "memset_loop";
     std::string predictor = "composite";
     std::size_t entries = 1024;
-    std::size_t instrs = 0;
+    std::optional<std::size_t> instrs; ///< unset = LVPSIM_INSTRS
     std::optional<std::size_t> warmup; ///< unset = LVPSIM_WARMUP
     std::size_t sampleK = 0;
     std::size_t intervalLen = 0;
@@ -87,7 +88,8 @@ usage()
         "extrapolate\n"
         "  --interval-len <n>     sampling interval length in "
         "instructions\n"
-        "                         (default 100000)\n"
+        "                         (default 100000, at most the "
+        "measured length)\n"
         "  --progress <n>         print a progress line every n "
         "committed\n"
         "                         instructions (stderr; default "
@@ -155,7 +157,8 @@ parse(int argc, char **argv, CliOptions &o)
         else if (a == "--entries")
             o.entries = std::size_t(count("--entries"));
         else if (a == "--instrs")
-            o.instrs = std::size_t(count("--instrs"));
+            o.instrs = std::size_t(
+                sim::parsePositiveCountOrExit("--instrs", next("--instrs")));
         else if (a == "--warmup")
             o.warmup = std::size_t(count("--warmup"));
         else if (a == "--sample")
@@ -347,13 +350,18 @@ main(int argc, char **argv)
         return 0;
     }
     sim::RunConfig rc;
-    rc.maxInstrs = o.instrs ? o.instrs : sim::instrsFromEnv(150000);
+    rc.maxInstrs = o.instrs ? *o.instrs : sim::instrsFromEnv(150000);
     rc.warmupInstrs = o.warmup ? *o.warmup : sim::warmupFromEnv();
     sim::checkTraceLengthOrExit(rc);
     rc.traceSeed = o.seed;
     rc.sampleK = o.sampleK;
     if (o.intervalLen)
         rc.sampleIntervalLen = o.intervalLen;
+    // An interval longer than the measured region is the whole
+    // region; the plan line and the JSON report the length it runs.
+    if (rc.sampleK)
+        rc.sampleIntervalLen =
+            std::min(rc.sampleIntervalLen, rc.maxInstrs);
     if (rc.sampleK && rc.warmupInstrs) {
         std::cerr << "--sample replaces --warmup with functional "
                      "fast-forward; use one or the other\n";
