@@ -267,6 +267,18 @@ writeJson(const Args &a, std::size_t instrs, Fields meta,
     return 0;
 }
 
+/** The core's deterministic work counts (pipe::CoreWork), as JSON
+ *  keys after a row's timing keys. */
+void
+appendWork(Fields &fields, const pipe::CoreWork &w)
+{
+    fields.insert(fields.end(),
+                  {{"rob_seq_lookups", w.robSeqLookups},
+                   {"iq_visits", w.iqVisits},
+                   {"dep_checks", w.depChecks},
+                   {"completion_visits", w.completionVisits}});
+}
+
 int
 runThroughput(const Args &a)
 {
@@ -297,6 +309,7 @@ runThroughput(const Args &a)
     {
         std::uint64_t instructions = 0; ///< both pipelines
         std::uint64_t cycles = 0;       ///< both pipelines
+        pipe::CoreWork work;            ///< both pipelines
         std::vector<double> passSeconds;
     };
     std::vector<Row> rows(workloads.size());
@@ -307,13 +320,15 @@ runThroughput(const Args &a)
         pool.parallelFor(workloads.size(), [&](std::size_t i) {
             auto ops = sim::TraceCache::instance().get(
                 workloads[i], sim::traceLength(rc), rc.traceSeed);
+            pipe::CoreWork work;
             const auto w0 = Clock::now();
-            const auto base = sim::runTrace(*ops, nullptr, rc);
+            const auto base = sim::runTrace(*ops, nullptr, rc, &work);
             vp::CompositePredictor pred(vp_cfg);
-            const auto with_vp = sim::runTrace(*ops, &pred, rc);
+            const auto with_vp = sim::runTrace(*ops, &pred, rc, &work);
             rows[i].passSeconds.push_back(secondsSince(w0));
             rows[i].instructions = base.instructions + with_vp.instructions;
             rows[i].cycles = base.cycles + with_vp.cycles;
+            rows[i].work = work;
         });
         pass_walls.push_back(secondsSince(t0));
     }
@@ -322,6 +337,7 @@ runThroughput(const Args &a)
     const double sim_wall = median(pass_walls);
 
     std::uint64_t total_instrs = 0, total_cycles = 0;
+    pipe::CoreWork total_work;
     double sum_sim_seconds = 0.0;
     sim::JsonValue rows_json = sim::JsonValue::array();
     sim::TextTable t({"workload", "instrs", "gen_ms", "sim_ms", "kips"});
@@ -337,33 +353,45 @@ runThroughput(const Args &a)
         const double sim_s = median(r.passSeconds);
         total_instrs += r.instructions;
         total_cycles += r.cycles;
+        total_work += r.work;
         sum_sim_seconds += sim_s;
-        rows_json.push(object(
-            {{"workload", workloads[i]},
-             {"instructions", r.instructions},
-             {"cycles", r.cycles},
-             {"gen_seconds", gen_seconds[i]},
-             {"sim_seconds", sim_s},
-             {"kips", addRow(workloads[i], r.instructions,
-                             gen_seconds[i], sim_s)}}));
+        Fields row = {{"workload", workloads[i]},
+                      {"instructions", r.instructions},
+                      {"cycles", r.cycles},
+                      {"gen_seconds", gen_seconds[i]},
+                      {"sim_seconds", sim_s},
+                      {"kips", addRow(workloads[i], r.instructions,
+                                      gen_seconds[i], sim_s)}};
+        appendWork(row, r.work);
+        rows_json.push(object(row));
     }
     const double agg_kips =
         addRow("AGGREGATE", total_instrs, gen_wall, sim_wall);
     t.print(std::cout);
     t.printCsv(std::cout, "throughput");
+    const auto per_instr = [&](std::uint64_t n) {
+        return sim::fmtF(ratio(double(n), double(total_instrs)), 2);
+    };
+    std::cout << "core work per instruction: rob_seq_lookups "
+              << per_instr(total_work.robSeqLookups) << ", iq_visits "
+              << per_instr(total_work.iqVisits) << ", dep_checks "
+              << per_instr(total_work.depChecks)
+              << ", completion_visits "
+              << per_instr(total_work.completionVisits) << "\n";
+    Fields aggregate = {{"total_instructions", total_instrs},
+                        {"total_cycles", total_cycles},
+                        {"gen_wall_seconds", gen_wall},
+                        {"sim_wall_seconds", sim_wall},
+                        {"sim_seconds_sum", sum_sim_seconds},
+                        {"kips", agg_kips}};
+    appendWork(aggregate, total_work);
 
     return writeJson(
         a, instrs,
         {{"warmup_instructions", std::uint64_t(rc.warmupInstrs)},
          {"repeat", std::uint64_t(repeat)},
          {"statistic", "median"}},
-        {{"workloads", rows_json},
-         {"aggregate", object({{"total_instructions", total_instrs},
-                               {"total_cycles", total_cycles},
-                               {"gen_wall_seconds", gen_wall},
-                               {"sim_wall_seconds", sim_wall},
-                               {"sim_seconds_sum", sum_sim_seconds},
-                               {"kips", agg_kips}})}});
+        {{"workloads", rows_json}, {"aggregate", object(aggregate)}});
 }
 
 double

@@ -73,6 +73,19 @@ class RingBuffer
         return slots[(head + i) & maskBits];
     }
 
+    /**
+     * Physical slot of logical position @p i (i may equal size(): the
+     * slot the next push_back fills). An element keeps its slot until
+     * it is popped, so side tables indexed by slot (capacity() of
+     * them) can describe it without a search.
+     */
+    std::size_t slotOf(std::size_t i) const
+    {
+        return (head + i) & maskBits;
+    }
+    T &atSlot(std::size_t s) { return slots[s]; }
+    const T &atSlot(std::size_t s) const { return slots[s]; }
+
     T &front() { return slots[head]; }
     const T &front() const { return slots[head]; }
     T &back() { return slots[(head + count - 1) & maskBits]; }

@@ -150,8 +150,10 @@ EvesPredictor::train(const pipe::LoadOutcome &o)
         se.seenOnce = true;
         se.conf.reset();
     } else {
+        // Subtract in uint64 (wraps) and reinterpret: a signed
+        // subtraction overflows for far-apart 64-bit values.
         const std::int64_t delta =
-            std::int64_t(o.value) - std::int64_t(se.lastValue);
+            std::int64_t(o.value - se.lastValue);
         if (fitsSigned(delta, 16)) {
             if (se.seenOnce && delta == se.stride) {
                 se.conf.increment(strideFpc(), rng);

@@ -32,6 +32,23 @@ Core::Core(const CoreConfig &config,
     // squashYoungerThan); pre-sizing makes them allocation-free.
     inflightLoadPcs.reserve(inflightWindow());
     refetchStash.reserve(inflightWindow());
+    // The scheduling structures are sized once, like the queues.
+    const std::size_t slots = rob.capacity();
+    completionQ.reserve(slots);
+    iqList.reserve(slots);
+    depSlots.assign(slots, {kNoSlot, kNoSlot, kNoSlot});
+    lastWriterSlot.fill(kNoSlot);
+    wakeHead.assign(slots, kNoNode);
+    wakeNext.assign(3 * slots, kNoNode);
+    wakePrev.assign(3 * slots, kNoNode);
+    parkedSources.assign(slots, 0);
+}
+
+bool
+Core::completesLater(const Completion &a, const Completion &b)
+{
+    return a.doneCycle != b.doneCycle ? a.doneCycle > b.doneCycle
+                                      : a.seq > b.seq;
 }
 
 std::size_t
@@ -66,56 +83,120 @@ Core::robIndexOfSeq(InstSeqNum seq) const
 }
 
 Core::Inflight *
-Core::findBySeq(InstSeqNum seq)
+Core::findBySeq(InstSeqNum seq, RobSlot *slot)
 {
+    ++work_.robSeqLookups;
     const std::size_t i = robIndexOfSeq(seq);
-    return i == ~std::size_t(0) ? nullptr : &rob[i];
-}
-
-const Core::Inflight *
-Core::findBySeqConst(InstSeqNum seq) const
-{
-    const std::size_t i = robIndexOfSeq(seq);
-    return i == ~std::size_t(0) ? nullptr : &rob[i];
+    if (i == ~std::size_t(0))
+        return nullptr;
+    if (slot)
+        *slot = RobSlot(rob.slotOf(i));
+    return &rob[i];
 }
 
 bool
-Core::depsReady(Inflight &f) const
+Core::depsReady(Inflight &f, RobSlot slot)
 {
-    // On failure, leave a wake-up hint in f.sleepUntil so the issue
-    // scan can skip this op without repeating the producer lookups.
-    // now+1 means "cannot bound: recheck next cycle".
+    // On failure, leave a wake-up gate in f.sleepUntil: the latest
+    // known ready time among the sources that are not ready, or now+1
+    // when a producer's time is still unknown. Those producers also
+    // get the op parked on their consumer chains, so the issue stage
+    // skips it until one of them wakes it.
+    ++work_.depChecks;
+    // Dispatch recorded each source's producer slot. A source older
+    // than the ROB head (or 0: no source) has committed and is ready;
+    // a squashed producer takes its younger consumers with it.
+    const InstSeqNum oldest = rob.front().seq;
     Cycle wake = 0;
-    for (InstSeqNum d : f.depSeq) {
-        if (d == 0)
+    unsigned unknown = 0;
+    for (unsigned s = 0; s < f.depSeq.size(); ++s) {
+        const InstSeqNum d = f.depSeq[s];
+        if (d < oldest)
             continue;
-        const Inflight *p = findBySeqConst(d);
-        if (!p)
-            continue; // producer committed (or squashed): ready
+        const Inflight &p = rob.atSlot(depSlots[slot][s]);
+        LVPSIM_CHECK(p.seq == d, "source %u of seq %llu: slot holds "
+                     "seq %llu, not producer %llu", s,
+                     static_cast<unsigned long long>(f.seq),
+                     static_cast<unsigned long long>(p.seq),
+                     static_cast<unsigned long long>(d));
         // A value-predicted load's result is available through the
         // VPE from vpReadyCycle, even before the load executes.
-        if (p->vpDelivered && p->vpReadyCycle <= now)
+        if (p.vpDelivered && p.vpReadyCycle <= now)
             continue;
-        if (p->done && p->doneCycle <= now)
+        if (p.done && p.doneCycle <= now)
             continue;
         Cycle cand;
-        if (p->vpDelivered) {
-            cand = p->vpReadyCycle;
-            if (p->issued)
-                cand = std::min(cand, p->doneCycle);
-        } else if (p->paqPending) {
-            cand = now + 1; // a PAQ probe may deliver any cycle
-        } else if (p->issued) {
-            cand = p->doneCycle;
+        if (p.vpDelivered) {
+            cand = p.vpReadyCycle;
+            if (p.issued)
+                cand = std::min(cand, p.doneCycle);
+        } else if (p.paqPending || !p.issued) {
+            // A PAQ probe may deliver any cycle; an unissued producer
+            // has no done cycle yet: unknown.
+            cand = now + 1;
+            unknown |= 1u << s;
         } else {
-            cand = now + 1; // producer not yet issued: unknown
+            cand = p.doneCycle;
         }
         wake = std::max(wake, cand);
     }
     if (wake == 0)
         return true;
     f.sleepUntil = wake;
+    if (unknown)
+        park(slot, unknown);
     return false;
+}
+
+void
+Core::park(RobSlot consumer, unsigned sources)
+{
+    lvp_assert(parkedSources[consumer] == 0, "op parked twice");
+    parkedSources[consumer] = std::uint8_t(sources);
+    for (unsigned s = 0; s < 3; ++s) {
+        if (!(sources & (1u << s)))
+            continue;
+        const std::uint32_t node = 3 * consumer + s;
+        const RobSlot producer = depSlots[consumer][s];
+        const std::uint32_t head = wakeHead[producer];
+        wakePrev[node] = kNoNode;
+        wakeNext[node] = head;
+        if (head != kNoNode)
+            wakePrev[head] = node;
+        wakeHead[producer] = node;
+    }
+}
+
+void
+Core::unpark(RobSlot consumer)
+{
+    const unsigned sources = parkedSources[consumer];
+    for (unsigned s = 0; s < 3; ++s) {
+        if (!(sources & (1u << s)))
+            continue;
+        const std::uint32_t node = 3 * consumer + s;
+        const std::uint32_t prev = wakePrev[node];
+        const std::uint32_t next = wakeNext[node];
+        if (prev == kNoNode)
+            wakeHead[depSlots[consumer][s]] = next;
+        else
+            wakeNext[prev] = next;
+        if (next != kNoNode)
+            wakePrev[next] = prev;
+    }
+    parkedSources[consumer] = 0;
+}
+
+void
+Core::wakeConsumers(RobSlot producer)
+{
+    // A woken op re-runs its readiness check when the issue stage next
+    // reaches it. Skipping it while parked changed nothing: each check
+    // it missed would have failed on this producer, and (its known
+    // sources being ready by then) would only have moved its gate to
+    // the next cycle.
+    while (wakeHead[producer] != kNoNode)
+        unpark(wakeHead[producer] / 3);
 }
 
 Cycle
@@ -244,16 +325,24 @@ Core::validateLoad(Inflight &f)
 bool
 Core::completeStage()
 {
-    if (issuedNotDone == 0)
-        return false;
+    // The ops due this cycle come off the completion queue in seq
+    // order. A load's validation may squash everything younger,
+    // which also drops their queue entries.
     bool any = false;
-    for (std::size_t i = 0; i < rob.size(); ++i) {
-        Inflight &f = rob[i];
-        if (!f.issued || f.done || f.doneCycle > now)
-            continue;
+    while (!completionQ.empty() && completionQ.front().doneCycle <= now) {
+        ++work_.completionVisits;
+        const RobSlot slot = completionQ.front().slot;
+        std::pop_heap(completionQ.begin(), completionQ.end(),
+                      completesLater);
+        completionQ.pop_back();
+        Inflight &f = rob.atSlot(slot);
+        LVPSIM_CHECK(f.issued && !f.done && f.doneCycle == now,
+                     "completion of seq %llu out of step",
+                     static_cast<unsigned long long>(f.seq));
         f.done = true;
         --issuedNotDone;
         any = true;
+        wakeConsumers(slot);
         const MicroOp &op = opOf(f);
 
         if (f.branchMispredicted) {
@@ -284,11 +373,21 @@ Core::issueStage(unsigned &ls_used)
 
     const unsigned alu_lanes = cfg.issueWidth - cfg.lsLanes;
 
+    // Oldest first over the IQ list. Issued ops stay in the list
+    // until the compaction below; a squash (memory-order violation)
+    // cuts the list's tail, which is all younger than the store that
+    // triggered it.
+    std::size_t first_issued = iqList.size();
     for (std::size_t i = 0;
-         i < rob.size() && issued_count < cfg.issueWidth; ++i) {
-        Inflight &f = rob[i];
-        if (!f.inIQ || now < f.minIssueCycle ||
-            now < f.sleepUntil)
+         i < iqList.size() && issued_count < cfg.issueWidth; ++i) {
+        ++work_.iqVisits;
+        const RobSlot slot = iqList[i];
+        Inflight &f = rob.atSlot(slot);
+        // minIssueCycle grows with seq (fetch order), so no younger
+        // op can issue this cycle either.
+        if (now < f.minIssueCycle)
+            break;
+        if (now < f.sleepUntil || parkedSources[slot])
             continue;
         const MicroOp &op = opOf(f);
         const bool is_ls = op.isLoad() || op.isStore();
@@ -296,7 +395,7 @@ Core::issueStage(unsigned &ls_used)
             continue;
         if (!is_ls && alu_used >= alu_lanes)
             continue;
-        if (!depsReady(f))
+        if (!depsReady(f, slot))
             continue;
         if (op.cls == OpClass::Barrier && f.seq != rob.front().seq)
             continue; // barriers issue only when oldest
@@ -318,7 +417,7 @@ Core::issueStage(unsigned &ls_used)
                 }
             }
             if (conflict) {
-                const Inflight *st = findBySeqConst(conflict->seq);
+                const Inflight *st = findBySeq(conflict->seq);
                 const bool resolved = st && st->issued;
                 if (!resolved) {
                     if (memdep.shouldWait(op.pc))
@@ -350,9 +449,22 @@ Core::issueStage(unsigned &ls_used)
             ++ls_used;
         else
             ++alu_used;
+        first_issued = std::min(first_issued, i);
+        completionQ.push_back({f.doneCycle, f.seq, slot});
+        std::push_heap(completionQ.begin(), completionQ.end(),
+                       completesLater);
+        wakeConsumers(slot);
 
         if (op.isStore())
             checkStoreOrderViolation(f); // may squash younger ops
+    }
+    // Drop the issued ops from the list, keeping seq order.
+    if (first_issued < iqList.size()) {
+        std::size_t out = first_issued;
+        for (std::size_t i = first_issued; i < iqList.size(); ++i)
+            if (rob.atSlot(iqList[i]).inIQ)
+                iqList[out++] = iqList[i];
+        iqList.resize(out);
     }
     return issued_count > 0;
 }
@@ -402,10 +514,14 @@ Core::paqStage(unsigned ls_used)
         const PaqEntry e = paq.front();
         paq.pop_front();
         --slots;
-        Inflight *f = findBySeq(e.seq);
+        RobSlot slot = kNoSlot;
+        Inflight *f = findBySeq(e.seq, &slot);
         if (!f || !f->paqPending || f->done)
             continue;
         f->paqPending = false;
+        // Delivered or dropped, the load's ready time is now known
+        // (or, unissued, waits on its issue): wake its consumers.
+        wakeConsumers(slot);
         ++stats.paqProbes;
         any = true;
         const auto res = memory.paqProbe(e.addr);
@@ -427,7 +543,7 @@ Core::paqStage(unsigned ls_used)
             if (!rangesOverlap(e.addr, op.memSize, it->addr,
                                it->size))
                 continue;
-            const Inflight *st = findBySeqConst(it->seq);
+            const Inflight *st = findBySeq(it->seq);
             conflict = st && !st->issued;
             break;
         }
@@ -464,16 +580,23 @@ Core::dispatchStage()
         if (op.isStore() && stq.size() >= cfg.stqSize)
             break;
 
-        // Rename: resolve sources against the last writers.
+        // Rename: resolve sources against the last writers, and note
+        // each producer's ROB slot for the readiness checks.
+        const RobSlot slot = RobSlot(rob.slotOf(rob.size()));
         for (unsigned s = 0; s < f.depSeq.size(); ++s) {
             const RegId r = op.src[s];
             f.depSeq[s] = (r == invalidReg) ? 0 : lastWriter[r];
+            depSlots[slot][s] =
+                (r == invalidReg) ? kNoSlot : lastWriterSlot[r];
         }
-        if (op.dst != invalidReg)
+        if (op.dst != invalidReg) {
             lastWriter[op.dst] = f.seq;
+            lastWriterSlot[op.dst] = slot;
+        }
 
         f.inIQ = true;
         ++iqCount;
+        iqList.push_back(slot);
         if (op.isLoad())
             ldq.push_back({f.seq, op.effAddr, op.memSize});
         if (op.isStore())
@@ -638,17 +761,43 @@ Core::squashYoungerThan(InstSeqNum oldest_squashed,
         }
     };
 
+    bool drop_completions = false;
     while (!rob.empty() && rob.back().seq >= oldest_squashed) {
         Inflight &f = rob.back();
-        if (f.inIQ)
+        const RobSlot slot = RobSlot(rob.slotOf(rob.size() - 1));
+        if (f.inIQ) {
+            // IQ list and ROB share seq order: the youngest IQ op is
+            // the list's tail.
+            lvp_assert(!iqList.empty() && iqList.back() == slot,
+                       "IQ list out of sync with the ROB");
+            iqList.pop_back();
             --iqCount;
-        if (f.issued && !f.done)
+        }
+        if (f.issued && !f.done) {
             --issuedNotDone;
+            drop_completions = true;
+        }
         if (f.speculativeLoad)
             --specLoadsInFlight;
+        // Its consumers are younger and already gone, so its own
+        // chain is empty; leave no link behind in an older chain.
+        unpark(slot);
+        LVPSIM_CHECK(wakeHead[slot] == kNoNode,
+                     "squashed seq %llu still has parked consumers",
+                     static_cast<unsigned long long>(f.seq));
         drop_load_bookkeeping(f);
         ++stats.squashedOps;
         rob.pop_back();
+    }
+    if (drop_completions) {
+        completionQ.erase(
+            std::remove_if(completionQ.begin(), completionQ.end(),
+                           [&](const Completion &c) {
+                               return c.seq >= oldest_squashed;
+                           }),
+            completionQ.end());
+        std::make_heap(completionQ.begin(), completionQ.end(),
+                       completesLater);
     }
     while (!ldq.empty() && ldq.back().seq >= oldest_squashed)
         ldq.pop_back();
@@ -687,11 +836,45 @@ void
 Core::rebuildRenameMap()
 {
     lastWriter.fill(0);
-    for (const Inflight &f : rob) {
-        const MicroOp &op = opOf(f);
-        if (op.dst != invalidReg)
-            lastWriter[op.dst] = f.seq;
+    lastWriterSlot.fill(kNoSlot);
+    for (std::size_t i = 0; i < rob.size(); ++i) {
+        const MicroOp &op = opOf(rob[i]);
+        if (op.dst != invalidReg) {
+            lastWriter[op.dst] = rob[i].seq;
+            lastWriterSlot[op.dst] = RobSlot(rob.slotOf(i));
+        }
     }
+}
+
+void
+Core::rebuildSchedule()
+{
+    // Everything the event-driven scheduler keeps beside the ROB,
+    // recomputed from it. No op starts parked: a parked op only skips
+    // readiness checks that would fail, so an unparked one re-checks,
+    // fails the same way and parks again.
+    iqList.clear();
+    completionQ.clear();
+    std::fill(wakeHead.begin(), wakeHead.end(), kNoNode);
+    std::fill(parkedSources.begin(), parkedSources.end(), 0);
+    const auto slot_of_seq = [&](InstSeqNum seq) {
+        const std::size_t i = robIndexOfSeq(seq);
+        return i == ~std::size_t(0) ? kNoSlot : RobSlot(rob.slotOf(i));
+    };
+    for (std::size_t r = 0; r < lastWriter.size(); ++r)
+        lastWriterSlot[r] = slot_of_seq(lastWriter[r]);
+    for (std::size_t i = 0; i < rob.size(); ++i) {
+        const Inflight &f = rob[i];
+        const RobSlot slot = RobSlot(rob.slotOf(i));
+        if (f.inIQ)
+            iqList.push_back(slot);
+        if (f.issued && !f.done)
+            completionQ.push_back({f.doneCycle, f.seq, slot});
+        for (unsigned s = 0; s < f.depSeq.size(); ++s)
+            depSlots[slot][s] = slot_of_seq(f.depSeq[s]);
+    }
+    std::make_heap(completionQ.begin(), completionQ.end(),
+                   completesLater);
 }
 
 // --------------------------------------------------------------------
@@ -724,6 +907,13 @@ Core::checkCycleInvariants() const
                  "issued-not-done %llu exceeds ROB occupancy %zu",
                  static_cast<unsigned long long>(issuedNotDone),
                  rob.size());
+    LVPSIM_CHECK(iqList.size() == iqCount,
+                 "IQ list holds %zu ops, IQ count %u", iqList.size(),
+                 iqCount);
+    LVPSIM_CHECK(completionQ.size() == issuedNotDone,
+                 "completion queue holds %zu ops, %llu issued-not-done",
+                 completionQ.size(),
+                 static_cast<unsigned long long>(issuedNotDone));
     LVPSIM_CHECK(specLoadsInFlight <= ldq.size(),
                  "speculative-load count %llu exceeds LDQ occupancy "
                  "%zu",
@@ -790,11 +980,12 @@ Core::checkFullInvariants() const
     LVPSIM_CHECK(stq.size() == n_stores,
                  "STQ/ROB drift: %zu entries, %zu stores",
                  stq.size(), n_stores);
+    checkScheduleInvariants();
     prev = 0;
     for (const MemQEntry &e : ldq) {
         LVPSIM_CHECK(e.seq > prev, "LDQ not in seq order");
         prev = e.seq;
-        LVPSIM_CHECK(findBySeqConst(e.seq) != nullptr,
+        LVPSIM_CHECK(robIndexOfSeq(e.seq) != ~std::size_t(0),
                      "LDQ entry seq %llu not in ROB",
                      static_cast<unsigned long long>(e.seq));
     }
@@ -802,10 +993,103 @@ Core::checkFullInvariants() const
     for (const MemQEntry &e : stq) {
         LVPSIM_CHECK(e.seq > prev, "STQ not in seq order");
         prev = e.seq;
-        LVPSIM_CHECK(findBySeqConst(e.seq) != nullptr,
+        LVPSIM_CHECK(robIndexOfSeq(e.seq) != ~std::size_t(0),
                      "STQ entry seq %llu not in ROB",
                      static_cast<unsigned long long>(e.seq));
     }
+}
+
+void
+Core::checkScheduleInvariants() const
+{
+    // The event-driven structures against the ROB they derive from.
+    // Seqs below the ROB head have committed (none are left when the
+    // ROB is empty).
+    const InstSeqNum oldest = rob.empty()
+                                  ? std::numeric_limits<InstSeqNum>::max()
+                                  : rob.front().seq;
+    const auto in_rob = [&](RobSlot slot) {
+        return slot < rob.capacity() &&
+               ((slot - rob.slotOf(0)) & (rob.capacity() - 1)) <
+                   rob.size();
+    };
+    const auto producer_ok = [&](InstSeqNum seq, RobSlot slot) {
+        return seq < oldest ||
+               (in_rob(slot) && rob.atSlot(slot).seq == seq);
+    };
+    // IQ list: exactly the ROB's IQ ops, in seq order.
+    InstSeqNum prev = 0;
+    for (RobSlot slot : iqList) {
+        LVPSIM_CHECK(in_rob(slot) && rob.atSlot(slot).inIQ &&
+                         rob.atSlot(slot).seq > prev,
+                     "IQ list entry slot %u stale or out of order",
+                     unsigned(slot));
+        prev = rob.atSlot(slot).seq;
+    }
+    // Completion queue: exactly the issued-not-done ops, as a heap.
+    for (const Completion &c : completionQ) {
+        LVPSIM_CHECK(in_rob(c.slot), "completion entry off the ROB");
+        const Inflight &f = rob.atSlot(c.slot);
+        LVPSIM_CHECK(f.seq == c.seq && f.issued && !f.done &&
+                         f.doneCycle == c.doneCycle,
+                     "completion entry seq %llu stale",
+                     static_cast<unsigned long long>(c.seq));
+    }
+    LVPSIM_CHECK(std::is_heap(completionQ.begin(), completionQ.end(),
+                              completesLater),
+                 "completion queue is not a heap");
+    // Producer slots: every in-ROB producer is where its consumers
+    // and the rename map say.
+    for (std::size_t r = 0; r < lastWriter.size(); ++r)
+        LVPSIM_CHECK(producer_ok(lastWriter[r], lastWriterSlot[r]),
+                     "rename slot of r%zu stale", r);
+    std::size_t parked_nodes = 0;
+    for (std::size_t i = 0; i < rob.size(); ++i) {
+        const Inflight &f = rob[i];
+        const RobSlot slot = RobSlot(rob.slotOf(i));
+        if (f.inIQ)
+            for (unsigned s = 0; s < 3; ++s)
+                LVPSIM_CHECK(producer_ok(f.depSeq[s], depSlots[slot][s]),
+                             "producer slot of seq %llu source %u stale",
+                             static_cast<unsigned long long>(f.seq), s);
+        const unsigned parked = parkedSources[slot];
+        LVPSIM_CHECK(parked == 0 || f.inIQ,
+                     "seq %llu parked outside the IQ",
+                     static_cast<unsigned long long>(f.seq));
+        for (unsigned s = 0; s < 3; ++s) {
+            if (!(parked & (1u << s)))
+                continue;
+            ++parked_nodes;
+            // Parked on a producer whose ready time is still unknown.
+            const Inflight &p = rob.atSlot(depSlots[slot][s]);
+            LVPSIM_CHECK(producer_ok(f.depSeq[s], depSlots[slot][s]) &&
+                             f.depSeq[s] >= oldest && !p.vpDelivered &&
+                             (p.paqPending || !p.issued),
+                         "seq %llu parked on a known producer",
+                         static_cast<unsigned long long>(f.seq));
+        }
+    }
+    // Wake chains: each node is a parked source of a consumer whose
+    // producer owns the chain; together they are every parked source.
+    std::size_t chained = 0;
+    for (std::size_t p = 0; p < wakeHead.size(); ++p) {
+        std::uint32_t back = kNoNode;
+        for (std::uint32_t n = wakeHead[p]; n != kNoNode;
+             n = wakeNext[n]) {
+            ++chained;
+            const RobSlot c = n / 3;
+            LVPSIM_CHECK(in_rob(RobSlot(p)) && wakePrev[n] == back &&
+                             (parkedSources[c] & (1u << (n % 3))) &&
+                             depSlots[c][n % 3] == p,
+                         "wake chain of slot %zu corrupt", p);
+            LVPSIM_CHECK(chained <= wakeNext.size(),
+                         "wake chain of slot %zu loops", p);
+            back = n;
+        }
+    }
+    LVPSIM_CHECK(chained == parked_nodes,
+                 "%zu chained wake nodes, %zu parked sources", chained,
+                 parked_nodes);
 }
 
 // --------------------------------------------------------------------
@@ -815,18 +1099,18 @@ Core::checkFullInvariants() const
 Cycle
 Core::nextEventCycle() const
 {
+    // The earliest completion, the oldest IQ op's issue floor (both
+    // minIssueCycle and fetchCycle grow with seq) and fetch.
     Cycle next = std::numeric_limits<Cycle>::max();
-    for (const Inflight &f : rob) {
-        if (f.issued && !f.done)
-            next = std::min(next, f.doneCycle);
-        else if (f.inIQ)
-            next = std::min(next, f.minIssueCycle);
-    }
+    if (!completionQ.empty())
+        next = completionQ.front().doneCycle;
+    if (!iqList.empty())
+        next = std::min(next, rob.atSlot(iqList.front()).minIssueCycle);
     if (fetchResumeCycle > now &&
         (fetchIdx < code.size() || !fetchBuf.empty()))
         next = std::min(next, fetchResumeCycle);
-    for (const Inflight &f : fetchBuf)
-        next = std::min(next, f.fetchCycle + 1);
+    if (!fetchBuf.empty())
+        next = std::min(next, fetchBuf.front().fetchCycle + 1);
     return next;
 }
 
@@ -1066,6 +1350,7 @@ Core::restoreState(const State &s)
     ittage.restoreState(s.ittage);
     ras.restoreState(s.ras);
     PipelineState::operator=(s.pipeline);
+    rebuildSchedule();
 }
 
 } // namespace pipe

@@ -69,6 +69,32 @@ struct CommitRecord
 };
 
 /**
+ * Deterministic counts of the scheduler's bookkeeping work: how many
+ * times the hot loop looked something up or re-examined an op. They
+ * depend only on the trace and the configuration, never on the host,
+ * so a test can pin them exactly (tests/test_core_golden.cc) and a
+ * lost optimisation shows up as a changed count, not as timing noise.
+ * Not model state and not statistics: they are never checkpointed,
+ * never part of SimStats, and increment only (no allocation).
+ */
+struct CoreWork
+{
+    std::uint64_t robSeqLookups = 0;    ///< ROB searches by seq number
+    std::uint64_t iqVisits = 0;         ///< IQ entries issue looked at
+    std::uint64_t depChecks = 0;        ///< operand-readiness checks
+    std::uint64_t completionVisits = 0; ///< entries completion looked at
+
+    CoreWork &operator+=(const CoreWork &o)
+    {
+        robSeqLookups += o.robSeqLookups;
+        iqVisits += o.iqVisits;
+        depChecks += o.depChecks;
+        completionVisits += o.completionVisits;
+        return *this;
+    }
+};
+
+/**
  * The core's own checkpointed state: clocks, fetch cursor, queues,
  * rename map and statistics. Core holds it as a private base; the
  * substrate it owns checkpoints through Core::State.
@@ -82,7 +108,9 @@ struct PipelineState
         Cycle fetchCycle = 0;
         Cycle minIssueCycle = 0;
         Cycle doneCycle = 0;
-        Cycle sleepUntil = 0; ///< dependency wake-up hint (issue scan)
+        /// Issue gate: a lower bound, from the last failed readiness
+        /// check, on when this op's sources can all be ready.
+        Cycle sleepUntil = 0;
         bool inIQ = false;
         bool issued = false;
         bool done = false;
@@ -275,6 +303,9 @@ class Core : private PipelineState
     void saveState(State &s) const;
     void restoreState(const State &s);
 
+    /** Scheduler work done by this core object so far (CoreWork). */
+    const CoreWork &work() const { return work_; }
+
   private:
     const trace::MicroOp &opOf(const Inflight &f) const
     {
@@ -294,12 +325,25 @@ class Core : private PipelineState
     bool dispatchStage();
     bool fetchStage();
 
+    /** A physical ROB slot (RingBuffer::slotOf): names an in-flight
+     *  op for as long as it stays in the ROB. */
+    using RobSlot = std::uint32_t;
+    static constexpr RobSlot kNoSlot = ~RobSlot(0);
+
     // Helpers.
     std::size_t robIndexOfSeq(InstSeqNum seq) const;
-    Inflight *findBySeq(InstSeqNum seq);
-    const Inflight *findBySeqConst(InstSeqNum seq) const;
-    bool depsReady(Inflight &f) const;
+    /** The ROB op with @p seq (nullptr if it left the ROB); counted as
+     *  a CoreWork::robSeqLookups. */
+    Inflight *findBySeq(InstSeqNum seq, RobSlot *slot = nullptr);
+    bool depsReady(Inflight &f, RobSlot slot);
     Cycle execLatency(const Inflight &f);
+
+    // Event-driven scheduling (docs/performance.md, "Event-driven
+    // scheduling"): wakeup over the derived structures below.
+    void park(RobSlot consumer, unsigned sources);
+    void unpark(RobSlot consumer);
+    void wakeConsumers(RobSlot producer);
+    void rebuildSchedule();
     void fetchOne();
     void squashYoungerThan(InstSeqNum oldest_squashed,
                            std::uint64_t new_fetch_idx);
@@ -314,10 +358,12 @@ class Core : private PipelineState
      * cycle: structure occupancies never exceed their configured
      * capacities (ROB/IQ/LDQ/STQ/PAQ/fetch buffer). The O(window)
      * structural cross-checks (seq ordering, queue/ROB sync, IQ
-     * recount) run every `fullCheckPeriod` cycles.
+     * recount, and every scheduling structure against the ROB) run
+     * every `fullCheckPeriod` cycles.
      */
     void checkCycleInvariants() const;
     void checkFullInvariants() const;
+    void checkScheduleInvariants() const;
     static constexpr Cycle fullCheckPeriod = 1024;
 
     bool rangesOverlap(Addr a, unsigned asz, Addr b, unsigned bsz) const
@@ -350,6 +396,63 @@ class Core : private PipelineState
     {
         return cfg.robSize + 2 * std::size_t(cfg.fetchWidth);
     }
+
+    // lvplint: allow(state-snapshot) -- work counts, not model state
+    CoreWork work_;
+
+    // ---- Event-driven scheduling state --------------------------------
+    // Every structure here is derived from the ROB: sized in the
+    // constructor, rebuilt by restoreState(), cross-checked against the
+    // ROB by checkFullInvariants(). Per-slot tables have
+    // rob.capacity() entries.
+
+    /** An issued, not yet completed op, keyed for completion order. */
+    struct Completion
+    {
+        Cycle doneCycle = 0;
+        InstSeqNum seq = 0;
+        RobSlot slot = kNoSlot;
+    };
+    /** Heap order for completionQ: the earliest doneCycle on top,
+     *  ties in seq (program) order. */
+    static bool completesLater(const Completion &a, const Completion &b);
+    /// Min-heap on (doneCycle, seq) of every issued-not-done op.
+    // lvplint: allow(state-snapshot) -- derived from rob, rebuilt by restoreState
+    std::vector<Completion> completionQ;
+    /// ROB slots of the ops in the IQ, in seq order.
+    // lvplint: allow(state-snapshot) -- derived from rob, rebuilt by restoreState
+    std::vector<RobSlot> iqList;
+    /// Per ROB slot: the producer slot of each source (valid while
+    /// that producer is in the ROB, i.e. depSeq >= the ROB head seq).
+    // lvplint: allow(state-snapshot) -- derived from rob, rebuilt by restoreState
+    std::vector<std::array<RobSlot, 3>> depSlots;
+    /// ROB slot of lastWriter[r] while that writer is in the ROB.
+    // lvplint: allow(state-snapshot) -- derived from rob, rebuilt by restoreState
+    std::array<RobSlot, numArchRegs> lastWriterSlot{};
+
+    /*
+     * Wakeup. A consumer whose readiness check met a producer with no
+     * known ready time (not value-delivered, and not issued or still
+     * waiting on its PAQ probe) parks: it links one node per such
+     * source into that producer's consumer chain and is skipped by the
+     * issue stage until the producer issues, has its PAQ entry probed
+     * or completes, any of which wakes the whole chain. Node n =
+     * 3 * consumer slot + source index; chains are doubly linked so a
+     * squashed consumer unlinks in O(1).
+     */
+    static constexpr std::uint32_t kNoNode = ~std::uint32_t(0);
+    /// Per producer slot: first node of its chain.
+    // lvplint: allow(state-snapshot) -- derived from rob, rebuilt by restoreState
+    std::vector<std::uint32_t> wakeHead;
+    /// Per node: chain neighbours.
+    // lvplint: allow(state-snapshot) -- derived from rob, rebuilt by restoreState
+    std::vector<std::uint32_t> wakeNext;
+    // lvplint: allow(state-snapshot) -- derived from rob, rebuilt by restoreState
+    std::vector<std::uint32_t> wakePrev;
+    /// Per consumer slot: bit s set while source s is linked (0 =
+    /// not parked).
+    // lvplint: allow(state-snapshot) -- derived from rob, rebuilt by restoreState
+    std::vector<std::uint8_t> parkedSources;
 
     // lvplint: allow(state-snapshot) -- external wiring, not model state
     CommitHook commitHook;

@@ -83,13 +83,17 @@ installProgressHook(pipe::Core &core, const std::string &label)
 
 pipe::SimStats
 runTrace(const std::vector<trace::MicroOp> &ops,
-         pipe::LoadValuePredictor *vp, const RunConfig &rc)
+         pipe::LoadValuePredictor *vp, const RunConfig &rc,
+         pipe::CoreWork *work)
 {
     pipe::Core core(rc.core, ops, vp);
     installProgressHook(core, "run");
     if (rc.warmupInstrs)
         core.warmup(rc.warmupInstrs);
-    return core.run();
+    const pipe::SimStats stats = core.run();
+    if (work)
+        *work += core.work();
+    return stats;
 }
 
 std::string

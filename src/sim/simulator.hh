@@ -88,10 +88,13 @@ void installProgressHook(pipe::Core &core, const std::string &label);
  * rc.warmupInstrs > 0 the warmup region is simulated inline (VP
  * disabled, then a pipeline drain) before the measured run — the
  * reference semantics that checkpoint restore must match exactly.
+ * When @p work is given, the core's scheduler work counts (warmup
+ * included) are added to it.
  */
 pipe::SimStats runTrace(const std::vector<trace::MicroOp> &ops,
                         pipe::LoadValuePredictor *vp,
-                        const RunConfig &rc);
+                        const RunConfig &rc,
+                        pipe::CoreWork *work = nullptr);
 
 /** Instructions in the trace a run consumes: the measured region
  *  plus the warmup region. */

@@ -157,3 +157,23 @@ TEST(Eves, AbandonKeepsStateConsistent)
     }
     SUCCEED();
 }
+
+TEST(Eves, FarApartValuesKeepStrideWellDefined)
+{
+    // Two values more than 2^63 apart: their difference overflows a
+    // signed subtraction (UB that UBSan aborts on). The E-Stride delta
+    // wraps in uint64 instead, is out of 16-bit range, and resets the
+    // entry, which then learns a stride from there as usual.
+    EvesPredictor p;
+    Value v = 7218738570589545383ull;
+    oneLoad(p, 0x800, 10590380919521690900ull);
+    oneLoad(p, 0x800, v);
+    for (int i = 0; i < 500; ++i) {
+        v += 24;
+        oneLoad(p, 0x800, v);
+    }
+    v += 24;
+    const auto pred = oneLoad(p, 0x800, v);
+    ASSERT_TRUE(pred.valid());
+    EXPECT_EQ(pred.value, v);
+}

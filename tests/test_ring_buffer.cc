@@ -171,3 +171,23 @@ TEST(RingBuffer, ClearResetsToEmpty)
     EXPECT_EQ(rb.front(), 7);
     EXPECT_EQ(rb.back(), 7);
 }
+
+TEST(RingBuffer, SlotsAreStableAcrossWraparound)
+{
+    RingBuffer<int> rb(4);
+    for (int round = 0; round < 10; ++round) {
+        const std::size_t next = rb.slotOf(rb.size());
+        rb.push_back(round);
+        EXPECT_EQ(rb.atSlot(next), round);
+        EXPECT_EQ(rb.slotOf(rb.size() - 1), next);
+        if (rb.size() == 3) {
+            // Popping the front shifts every logical index but no
+            // element's slot.
+            const std::size_t back_slot = rb.slotOf(2);
+            rb.pop_front();
+            EXPECT_EQ(rb.slotOf(1), back_slot);
+            EXPECT_EQ(rb.atSlot(back_slot), round);
+        }
+        EXPECT_LT(next, rb.capacity());
+    }
+}

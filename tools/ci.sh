@@ -3,8 +3,9 @@
 #
 #   configure -> build -> ctest (smoke + lint labels) -> ctest (fuzz
 #   label) -> ctest (store label) -> ctest (hostile label) -> ctest
-#   (shape label) -> perf gates -> thread-safety tree -> lvplint ->
-#   doc links -> strict doxygen
+#   (core exactness: differential label, suite determinism, zero
+#   allocation) -> ctest (shape label) -> perf gates -> thread-safety
+#   tree -> lvplint -> doc links -> strict doxygen
 #
 #   tools/ci.sh [build-dir]            default build dir: ./build
 #
@@ -71,6 +72,18 @@ hostile() {
     ctest --test-dir "$build" -L hostile --output-on-failure -j"$(nproc)"
 }
 
+core_exactness() {
+    # The core's results must not move: the three-pipeline
+    # differential gate and the golden counter / work-count pins
+    # (label differential), --jobs 1 vs --jobs 4 byte identity
+    # (suite_determinism), and the allocation-free steady state
+    # (AllocFree, unlabelled because it replaces operator new).
+    ctest --test-dir "$build" -L differential --output-on-failure \
+          -j"$(nproc)"
+    ctest --test-dir "$build" -R 'suite_determinism|AllocFree' \
+          --output-on-failure -j"$(nproc)"
+}
+
 shape() {
     # The paper-shape claims (tests/test_shape.cc): every claim of the
     # figure table holds on the full suite at the calibrated scale,
@@ -118,6 +131,7 @@ gate "ctest: smoke + lint" smoke_lint
 gate "ctest: fuzz" fuzz
 gate "ctest: store" store_gate
 gate "ctest: hostile" hostile
+gate "ctest: core exactness" core_exactness
 gate "ctest: shape" shape
 gate "ctest: perf gates" perf_gates
 gate "thread-safety tree" thread_safety

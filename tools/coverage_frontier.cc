@@ -200,7 +200,8 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (a == "--instrs") {
-            instrs = sim::parseCountOrExit("--instrs", need("--instrs"));
+            instrs = sim::parsePositiveCountOrExit("--instrs",
+                                                   need("--instrs"));
         } else if (a == "--seed") {
             seed = sim::parseCountOrExit("--seed", need("--seed"));
         } else if (a == "--gap") {

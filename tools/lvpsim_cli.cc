@@ -46,7 +46,7 @@ struct CliOptions
     std::optional<std::size_t> instrs; ///< unset = LVPSIM_INSTRS
     std::optional<std::size_t> warmup; ///< unset = LVPSIM_WARMUP
     std::size_t sampleK = 0;
-    std::size_t intervalLen = 0;
+    std::size_t intervalLen = 0; ///< 0 = unset (the flag rejects 0)
     std::uint64_t progress = 0;
     std::string am = "none";
     bool smart = false;
@@ -164,7 +164,8 @@ parse(int argc, char **argv, CliOptions &o)
         else if (a == "--sample")
             o.sampleK = std::size_t(count("--sample"));
         else if (a == "--interval-len")
-            o.intervalLen = std::size_t(count("--interval-len"));
+            o.intervalLen = std::size_t(sim::parsePositiveCountOrExit(
+                "--interval-len", next("--interval-len")));
         else if (a == "--progress")
             o.progress = count("--progress");
         else if (a == "--am")

@@ -38,7 +38,7 @@ only=${LVPSIM_SAN_ONLY:-}
 # whole tree (benches, examples, every test binary) under a
 # sanitizer takes many times longer for no extra coverage.
 targets="test_containers test_common test_trace test_harness \
-test_qa test_kernel_spec test_fuzz test_store lvpsim_cli"
+test_qa test_kernel_spec test_fuzz test_store test_vp lvpsim_cli"
 tsan_targets="test_differential test_sampling test_store"
 
 run_config() {
