@@ -587,14 +587,13 @@ firstPredictions(vp::ComponentPredictor &comp,
                 ++outer;
             }
         }
-        comp.notifyLoad(op.pc);
         pipe::LoadOutcome o;
         o.pc = op.pc;
         o.token = token++;
         o.effAddr = op.effAddr;
         o.size = op.memSize;
         o.value = op.memValue;
-        comp.train(o);
+        comp.train(o, cp);
     }
     return first_pred;
 }

@@ -50,7 +50,7 @@ componentLookupTrain(benchmark::State &state)
     for (auto _ : state) {
         auto cp = pred.lookup(probeOf(pc, token));
         benchmark::DoNotOptimize(cp);
-        pred.train(outcomeOf(pc, token));
+        pred.train(outcomeOf(pc, token), cp);
         ++token;
         pc = 0x400000 + (token % 512) * 4;
     }

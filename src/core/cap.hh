@@ -16,30 +16,28 @@
 
 #pragma once
 
-#include "common/bitutils.hh"
-#include "common/flat_map.hh"
-#include "common/random.hh"
-#include "common/tagged_table.hh"
 #include "core/component.hh"
-#include "core/vp_params.hh"
 
 namespace lvpsim
 {
 namespace vp
 {
 
-class Cap : public ComponentPredictor
+struct CapEntry
+{
+    Addr addr = 0;
+    std::uint8_t sizeLog2 = 0;
+    FpcCounter conf;
+};
+
+class Cap : public TableComponent<CapEntry>
 {
   public:
     explicit Cap(std::size_t entries, std::uint64_t seed = 0xca9,
                  unsigned conf_threshold = capConfThreshold)
-        : ComponentPredictor(pipe::ComponentId::CAP), rng(seed),
-          confThreshold(conf_threshold)
-    {
-        if (entries > 0)
-            table.configure(entries, 1);
-        snapshots.reserve(512); // in-flight window; see composite
-    }
+        : TableComponent(pipe::ComponentId::CAP, {entries}, seed,
+                         conf_threshold, capFpc())
+    {}
 
     ComponentPrediction
     lookup(const pipe::LoadProbe &p) override
@@ -47,43 +45,32 @@ class Cap : public ComponentPredictor
         ComponentPrediction cp;
         if (disabled())
             return cp;
-        Snapshot snap{index(p.pc), tag(p.pc)};
-        const auto *way = table.lookup(snap.idx, snap.tag);
-        if (way && way->payload.conf.atLeast(confThreshold)) {
-            cp.confident = true;
-            cp.pred.kind = pipe::Prediction::Kind::Address;
-            cp.pred.addr = way->payload.addr;
-            cp.pred.component = id();
-        }
-        snapshots[p.token] = snap;
+        cp.keyed = true;
+        cp.setKey(0, key(p.pc));
+        if (const CapEntry *e = confidentAt(0, cp.key(0)))
+            predictAddress(cp, e->addr);
         return cp;
     }
 
     void
-    train(const pipe::LoadOutcome &o) override
+    train(const pipe::LoadOutcome &o,
+          const ComponentPrediction &fetched) override
     {
-        auto it = snapshots.find(o.token);
-        if (it == snapshots.end())
+        if (!fetched.keyed || disabled())
             return;
-        const Snapshot snap = it->second;
-        snapshots.erase(it);
-        if (disabled())
-            return;
+        const TableKey k = fetched.key(0);
         bool hit = false;
-        auto &way = table.allocate(snap.idx, snap.tag, &hit);
-        Entry &e = way.payload;
+        CapEntry &e = tables[0].allocate(k.index, k.tag, &hit).payload;
         const Addr a = o.effAddr & mask(vaddrBits);
-        const std::uint8_t sz = std::uint8_t(log2i(o.size ? o.size : 1));
+        const std::uint8_t sz = sizeLog2Of(o.size);
         if (hit && e.addr == a && e.sizeLog2 == sz) {
-            e.conf.increment(capFpc(), rng);
+            strengthen(e);
         } else {
             e.addr = a;
             e.sizeLog2 = sz;
             e.conf.reset();
         }
     }
-
-    void abandon(std::uint64_t token) override { snapshots.erase(token); }
 
     void
     notifyBranch(Addr pc, bool taken, Addr target) override
@@ -95,85 +82,20 @@ class Cap : public ComponentPredictor
                (taken ? 0x9 : 0x0);
     }
 
-    void donateTable() override { donor = true; table.flushAll(); }
-    void
-    receiveWays(unsigned donor_tables) override
-    {
-        if (!table.empty())
-            table.setWays(1 + donor_tables);
-    }
-    void
-    unfuse() override
-    {
-        if (donor) {
-            donor = false;
-            table.flushAll();
-        } else if (!table.empty()) {
-            table.setWays(1);
-        }
-    }
-    bool isDonor() const override { return donor; }
-
-    void
-    visitConfidences(
-        const std::function<void(unsigned, unsigned)> &fn)
-        const override
-    {
-        table.forEachValid([&](const auto &w) {
-            fn(w.payload.conf.value(), capFpc().maxLevel());
-        });
-    }
-
-    std::uint64_t
-    storageBits() const override
-    {
-        return std::uint64_t(numEntries()) * capEntryBits;
-    }
-    std::size_t
-    numEntries() const override
-    {
-        return table.empty() ? 0 : table.numSets();
-    }
     unsigned entryBits() const override { return capEntryBits; }
 
   private:
-    struct Entry
+    TableKey
+    key(Addr pc) const
     {
-        Addr addr = 0;
-        std::uint8_t sizeLog2 = 0;
-        FpcCounter conf;
-    };
-
-    struct Snapshot
-    {
-        std::uint64_t idx = 0;
-        std::uint64_t tag = 0;
-    };
-
-    bool disabled() const { return donor || table.empty(); }
-
-    std::uint64_t
-    index(Addr pc) const
-    {
-        // Nonlinear mix: see Cvp::index for why a plain XOR of
+        // Nonlinear mix: see Cvp::key for why a plain XOR of
         // path-derived values can alias context families.
-        return mix64((pc >> 2) ^ path);
+        return {mix64((pc >> 2) ^ path),
+                ((pc >> 2) ^ (pc >> 16) ^ (path >> 3)) & mask(tagBits)};
     }
 
-    std::uint64_t
-    tag(Addr pc) const
-    {
-        return ((pc >> 2) ^ (pc >> 16) ^ (path >> 3)) & mask(tagBits);
-    }
-
-    TaggedTable<Entry> table;
-    FlatMap<std::uint64_t, Snapshot> snapshots;
-    Xoshiro256 rng;
-    unsigned confThreshold;
     std::uint64_t path = 0;
-    bool donor = false;
 };
 
 } // namespace vp
 } // namespace lvpsim
-

@@ -110,8 +110,10 @@ pipe::Prediction
 CompositePredictor::predict(const pipe::LoadProbe &probe)
 {
     ++cstats.probes;
-    Snapshot snap;
-    snap.pc = probe.pc;
+    Snapshot &snap = snapshots[probe.token];
+    snap = Snapshot{}; // a re-probed token starts afresh
+    if (snapshots.size() > peakSnapshots)
+        peakSnapshots = snapshots.size();
     for (unsigned c = 0; c < numComponents; ++c) {
         snap.cp[c] = comp[c]->lookup(probe);
         if (snap.cp[c].confident)
@@ -141,9 +143,6 @@ CompositePredictor::predict(const pipe::LoadProbe &probe)
             break;
         }
     }
-    snapshots[probe.token] = snap;
-    if (snapshots.size() > peakSnapshots)
-        peakSnapshots = snapshots.size();
     return result;
 }
 
@@ -153,13 +152,13 @@ CompositePredictor::train(const pipe::LoadOutcome &outcome)
     auto it = snapshots.find(outcome.token);
     if (it == snapshots.end()) {
         // No snapshot (should not happen for probed loads); train all
-        // components conservatively.
+        // components conservatively. Without fetch-time keys the
+        // context-aware ones skip.
         for (auto &c : comp)
-            c->train(outcome);
+            c->train(outcome, ComponentPrediction{});
         return;
     }
-    const Snapshot snap = it->second;
-    snapshots.erase(it);
+    const Snapshot &snap = it->second;
 
     // Per-component correctness of the fetch-time predictions.
     ComponentCorrectness cc;
@@ -170,8 +169,9 @@ CompositePredictor::train(const pipe::LoadOutcome &outcome)
             continue;
         }
         any_confident = true;
-        cc[c] =
-            comp[c]->wouldBeCorrect(snap.cp[c], outcome) ? 1 : 0;
+        cc[c] = ComponentPredictor::wouldBeCorrect(snap.cp[c], outcome)
+                    ? 1
+                    : 0;
     }
     // For the component whose prediction was actually used, trust the
     // pipeline's validation verdict: an address predictor can predict
@@ -216,14 +216,14 @@ CompositePredictor::train(const pipe::LoadOutcome &outcome)
 
     ++cstats.trainEvents;
 
+    std::array<bool, numComponents> do_train;
+    do_train.fill(true);
     if (cfg.smartTraining && any_confident) {
         // Smart training (Section V-D): train (a) every component
         // that mispredicted and (b) the cheapest component that
         // predicted correctly; everyone else is left alone.
-        std::array<bool, numComponents> do_train{};
         for (unsigned c = 0; c < numComponents; ++c)
-            if (cc[c] == 0)
-                do_train[c] = true;
+            do_train[c] = cc[c] == 0;
         for (unsigned c : trainingOrder) {
             if (cc[c] == 1) {
                 do_train[c] = true;
@@ -235,30 +235,21 @@ CompositePredictor::train(const pipe::LoadOutcome &outcome)
             comp[cSAP]->invalidateEntry(outcome.pc);
             ++cstats.sapInvalidations;
         }
-        for (unsigned c = 0; c < numComponents; ++c) {
-            if (do_train[c]) {
-                comp[c]->train(outcome);
-                if (componentActive(c))
-                    ++cstats.componentsTrained;
-            } else {
-                comp[c]->abandon(outcome.token);
-            }
-        }
-    } else {
-        for (unsigned c = 0; c < numComponents; ++c) {
-            comp[c]->train(outcome);
+    }
+    for (unsigned c = 0; c < numComponents; ++c) {
+        if (do_train[c]) {
+            comp[c]->train(outcome, snap.cp[c]);
             if (componentActive(c))
                 ++cstats.componentsTrained;
         }
     }
+    snapshots.erase(it);
 }
 
 void
 CompositePredictor::abandon(std::uint64_t token)
 {
     snapshots.erase(token);
-    for (auto &c : comp)
-        c->abandon(token);
 }
 
 void
@@ -266,13 +257,6 @@ CompositePredictor::notifyBranch(Addr pc, bool taken, Addr target)
 {
     for (auto &c : comp)
         c->notifyBranch(pc, taken, target);
-}
-
-void
-CompositePredictor::notifyLoad(Addr pc)
-{
-    for (auto &c : comp)
-        c->notifyLoad(pc);
 }
 
 void

@@ -134,7 +134,6 @@ class CompositePredictor : public pipe::LoadValuePredictor
     void train(const pipe::LoadOutcome &outcome) override;
     void abandon(std::uint64_t token) override;
     void notifyBranch(Addr pc, bool taken, Addr target) override;
-    void notifyLoad(Addr pc) override;
     void onRetire(std::uint64_t n) override;
     std::uint64_t storageBits() const override;
     const char *name() const override { return "composite"; }
@@ -170,12 +169,13 @@ class CompositePredictor : public pipe::LoadValuePredictor
         const std::function<void(unsigned, unsigned)> &fn) const;
 
   private:
+    /** One probe's fetch-time state: what each component reported
+     *  (CVP/CAP's table keys included), kept until train/abandon. */
     struct Snapshot
     {
         std::array<ComponentPrediction, numComponents> cp{};
         std::int8_t chosen = -1;
         std::uint8_t numConfident = 0;
-        Addr pc = 0;
     };
 
     void epochTick();

@@ -10,19 +10,14 @@
 
 #pragma once
 
-#include "common/bitutils.hh"
-#include "common/random.hh"
-#include "common/tagged_table.hh"
 #include "core/component.hh"
-#include "core/value_store.hh"
-#include "core/vp_params.hh"
 
 namespace lvpsim
 {
 namespace vp
 {
 
-class Lvp : public ComponentPredictor
+class Lvp : public ValueComponent<1>
 {
   public:
     /**
@@ -32,13 +27,9 @@ class Lvp : public ComponentPredictor
     explicit Lvp(std::size_t entries, std::uint64_t seed = 0x117b,
                  unsigned conf_threshold = lvpConfThreshold,
                  ValueStore *value_store = nullptr)
-        : ComponentPredictor(pipe::ComponentId::LVP), rng(seed),
-          confThreshold(conf_threshold),
-          values(value_store ? value_store : &inlineValues)
-    {
-        if (entries > 0)
-            table.configure(entries, 1);
-    }
+        : ValueComponent(pipe::ComponentId::LVP, {entries}, seed,
+                         conf_threshold, lvpFpc(), value_store)
+    {}
 
     ComponentPrediction
     lookup(const pipe::LoadProbe &p) override
@@ -46,105 +37,24 @@ class Lvp : public ComponentPredictor
         ComponentPrediction cp;
         if (disabled())
             return cp;
-        const auto *way = table.lookup(index(p.pc), tag(p.pc));
-        if (way && way->payload.conf.atLeast(confThreshold)) {
-            // A recycled shared-pool slot reads as "no prediction".
-            if (auto v = values->load(way->payload.value)) {
-                cp.confident = true;
-                cp.pred.kind = pipe::Prediction::Kind::Value;
-                cp.pred.value = *v;
-                cp.pred.component = id();
-            }
-        }
+        if (auto v = confidentValue(0, pcKey(p.pc)))
+            predictValue(cp, *v);
         return cp;
     }
 
     void
-    train(const pipe::LoadOutcome &o) override
+    train(const pipe::LoadOutcome &o, const ComponentPrediction &) override
     {
-        if (disabled())
-            return;
-        bool hit = false;
-        auto &way = table.allocate(index(o.pc), tag(o.pc), &hit);
-        const auto current = values->load(way.payload.value);
-        if (hit && current && *current == o.value) {
-            way.payload.conf.increment(lvpFpc(), rng);
-        } else {
-            way.payload.value = values->store(o.value);
-            way.payload.conf.reset();
-        }
+        if (!disabled())
+            trainLastValue(0, pcKey(o.pc), o.value);
     }
 
-    void donateTable() override { donor = true; table.flushAll(); }
-    void
-    receiveWays(unsigned donor_tables) override
-    {
-        if (!table.empty())
-            table.setWays(1 + donor_tables);
-    }
-    void
-    unfuse() override
-    {
-        if (donor) {
-            donor = false;
-            table.flushAll();
-        } else if (!table.empty()) {
-            table.setWays(1);
-        }
-    }
-    bool isDonor() const override { return donor; }
-
-    void
-    visitConfidences(
-        const std::function<void(unsigned, unsigned)> &fn)
-        const override
-    {
-        table.forEachValid([&](const auto &w) {
-            fn(w.payload.conf.value(), lvpFpc().maxLevel());
-        });
-    }
-
-    std::uint64_t
-    storageBits() const override
-    {
-        return std::uint64_t(configuredEntries()) * entryBits();
-    }
-    std::size_t numEntries() const override { return configuredEntries(); }
     unsigned
     entryBits() const override
     {
-        return tagBits + lvpConfBits + values->refBits();
+        return tagBits + lvpConfBits + refBits();
     }
-
-  private:
-    struct Entry
-    {
-        ValueStore::Ref value{};
-        FpcCounter conf;
-    };
-
-    bool disabled() const { return donor || table.empty(); }
-    std::size_t
-    configuredEntries() const
-    {
-        return table.empty() ? 0 : table.numSets();
-    }
-
-    static std::uint64_t index(Addr pc) { return pc >> 2; }
-    static std::uint64_t
-    tag(Addr pc)
-    {
-        return ((pc >> 2) ^ (pc >> 16)) & mask(tagBits);
-    }
-
-    TaggedTable<Entry> table;
-    Xoshiro256 rng;
-    unsigned confThreshold;
-    InlineValueStore inlineValues;
-    ValueStore *values;
-    bool donor = false;
 };
 
 } // namespace vp
 } // namespace lvpsim
-

@@ -11,28 +11,30 @@
 
 #pragma once
 
-#include "common/bitutils.hh"
-#include "common/random.hh"
-#include "common/tagged_table.hh"
 #include "core/component.hh"
-#include "core/vp_params.hh"
 
 namespace lvpsim
 {
 namespace vp
 {
 
-class Sap : public ComponentPredictor
+struct SapEntry
+{
+    Addr lastAddr = 0;
+    std::int64_t stride = 0; ///< constrained to 10 signed bits
+    std::uint8_t sizeLog2 = 0;
+    bool seenOnce = false;
+    FpcCounter conf;
+};
+
+class Sap : public TableComponent<SapEntry>
 {
   public:
     explicit Sap(std::size_t entries, std::uint64_t seed = 0x5a9,
                  unsigned conf_threshold = sapConfThreshold)
-        : ComponentPredictor(pipe::ComponentId::SAP), rng(seed),
-          confThreshold(conf_threshold)
-    {
-        if (entries > 0)
-            table.configure(entries, 1);
-    }
+        : TableComponent(pipe::ComponentId::SAP, {entries}, seed,
+                         conf_threshold, sapFpc())
+    {}
 
     ComponentPrediction
     lookup(const pipe::LoadProbe &p) override
@@ -40,33 +42,27 @@ class Sap : public ComponentPredictor
         ComponentPrediction cp;
         if (disabled())
             return cp;
-        const auto *way = table.lookup(index(p.pc), tag(p.pc));
-        if (way && way->payload.conf.atLeast(confThreshold)) {
-            const Entry &e = way->payload;
+        if (const SapEntry *e = confidentAt(0, pcKey(p.pc))) {
             // The table holds the address of the last *retired*
             // instance; step the stride once per in-flight instance
             // plus once for this instance.
             const std::int64_t steps =
                 std::int64_t(p.inflightSamePc) + 1;
-            const Addr predicted =
-                Addr(std::int64_t(e.lastAddr) + steps * e.stride) &
-                mask(vaddrBits);
-            cp.confident = true;
-            cp.pred.kind = pipe::Prediction::Kind::Address;
-            cp.pred.addr = predicted;
-            cp.pred.component = id();
+            predictAddress(cp, Addr(std::int64_t(e->lastAddr) +
+                                    steps * e->stride) &
+                                   mask(vaddrBits));
         }
         return cp;
     }
 
     void
-    train(const pipe::LoadOutcome &o) override
+    train(const pipe::LoadOutcome &o, const ComponentPrediction &) override
     {
         if (disabled())
             return;
+        const TableKey key = pcKey(o.pc);
         bool hit = false;
-        auto &way = table.allocate(index(o.pc), tag(o.pc), &hit);
-        Entry &e = way.payload;
+        SapEntry &e = tables[0].allocate(key.index, key.tag, &hit).payload;
         if (!hit) {
             e.lastAddr = o.effAddr & mask(vaddrBits);
             e.stride = 0;
@@ -80,7 +76,7 @@ class Sap : public ComponentPredictor
             std::int64_t(e.lastAddr);
         if (fitsSigned(delta, sapStrideBits)) {
             if (e.seenOnce && delta == e.stride) {
-                e.conf.increment(sapFpc(), rng);
+                strengthen(e);
             } else {
                 e.stride = delta;
                 e.conf.reset();
@@ -100,81 +96,14 @@ class Sap : public ComponentPredictor
     void
     invalidateEntry(Addr pc) override
     {
-        if (!disabled())
-            table.invalidate(index(pc), tag(pc));
-    }
-
-    void donateTable() override { donor = true; table.flushAll(); }
-    void
-    receiveWays(unsigned donor_tables) override
-    {
-        if (!table.empty())
-            table.setWays(1 + donor_tables);
-    }
-    void
-    unfuse() override
-    {
-        if (donor) {
-            donor = false;
-            table.flushAll();
-        } else if (!table.empty()) {
-            table.setWays(1);
+        if (!disabled()) {
+            const TableKey key = pcKey(pc);
+            tables[0].invalidate(key.index, key.tag);
         }
     }
-    bool isDonor() const override { return donor; }
 
-    void
-    visitConfidences(
-        const std::function<void(unsigned, unsigned)> &fn)
-        const override
-    {
-        table.forEachValid([&](const auto &w) {
-            fn(w.payload.conf.value(), sapFpc().maxLevel());
-        });
-    }
-
-    std::uint64_t
-    storageBits() const override
-    {
-        return std::uint64_t(numEntries()) * sapEntryBits;
-    }
-    std::size_t
-    numEntries() const override
-    {
-        return table.empty() ? 0 : table.numSets();
-    }
     unsigned entryBits() const override { return sapEntryBits; }
-
-  private:
-    struct Entry
-    {
-        Addr lastAddr = 0;
-        std::int64_t stride = 0; ///< constrained to 10 signed bits
-        std::uint8_t sizeLog2 = 0;
-        bool seenOnce = false;
-        FpcCounter conf;
-    };
-
-    static std::uint8_t
-    sizeLog2Of(unsigned size)
-    {
-        return std::uint8_t(log2i(size ? size : 1));
-    }
-
-    bool disabled() const { return donor || table.empty(); }
-    static std::uint64_t index(Addr pc) { return pc >> 2; }
-    static std::uint64_t
-    tag(Addr pc)
-    {
-        return ((pc >> 2) ^ (pc >> 16)) & mask(tagBits);
-    }
-
-    TaggedTable<Entry> table;
-    Xoshiro256 rng;
-    unsigned confThreshold;
-    bool donor = false;
 };
 
 } // namespace vp
 } // namespace lvpsim
-

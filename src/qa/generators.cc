@@ -161,8 +161,9 @@ nextValue(Gen &g, PcPlan &p)
     switch (p.valueMode) {
       case 0: return p.baseValue;
       case 1:
-        return Value(std::int64_t(p.baseValue) +
-                     std::int64_t(p.occurrences) * p.valueStride);
+        // Wrapping uint64 arithmetic: the value stream may run past
+        // the int64 range.
+        return p.baseValue + Value(p.occurrences) * Value(p.valueStride);
       case 2: return g.interestingValue();
       default: return p.baseValue + (p.occurrences % p.period);
     }

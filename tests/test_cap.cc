@@ -37,7 +37,7 @@ class CapDriver
         o.effAddr = ea;
         o.size = size;
         o.value = ea ^ 0xabcd;
-        cap.train(o);
+        cap.train(o, cp);
         return cp;
     }
 
@@ -53,7 +53,6 @@ TEST(Cap, NoPredictionWhenCold)
     p.pc = 0x100;
     p.token = nextToken++;
     EXPECT_FALSE(c.lookup(p).confident);
-    c.abandon(p.token);
 }
 
 TEST(Cap, LearnsAfterFourObservations)
@@ -132,21 +131,24 @@ TEST(Cap, StorageMatchesPaper67BitsPerEntry)
     EXPECT_EQ(c.entryBits(), 67u);
 }
 
-TEST(Cap, AbandonDropsSnapshot)
+TEST(Cap, TrainWithoutFetchKeysIsNoOp)
 {
+    // No fetch-time keys (the probe is unknown): CAP cannot tell
+    // which path to train, so it trains nothing.
     Cap c(256, 1);
     LoadProbe p;
     p.pc = 0x100;
     p.token = nextToken++;
-    c.lookup(p);
-    c.abandon(p.token);
     LoadOutcome o;
     o.pc = 0x100;
     o.token = p.token;
     o.effAddr = 0x5000;
     o.size = 8;
-    c.train(o); // no snapshot: must be a no-op
-    SUCCEED();
+    for (int i = 0; i < 40; ++i)
+        c.train(o, ComponentPrediction{});
+    const auto cp = c.lookup(p);
+    EXPECT_TRUE(cp.keyed);
+    EXPECT_FALSE(cp.confident);
 }
 
 TEST(Cap, DonorLifecycle)

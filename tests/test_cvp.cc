@@ -14,7 +14,7 @@ std::uint64_t nextToken = 1;
 
 /**
  * Drives CVP the way the composite does: probe (capturing the
- * fetch-time context snapshot), then train with the same token.
+ * fetch-time table keys), then train with what the probe returned.
  */
 class CvpDriver
 {
@@ -40,7 +40,7 @@ class CvpDriver
         o.effAddr = 0x1000;
         o.size = 8;
         o.value = v;
-        cvp.train(o);
+        cvp.train(o, cp);
         return cp;
     }
 
@@ -56,7 +56,6 @@ TEST(Cvp, NoPredictionWhenCold)
     p.pc = 0x100;
     p.token = nextToken++;
     EXPECT_FALSE(c.lookup(p).confident);
-    c.abandon(p.token);
 }
 
 TEST(Cvp, LearnsContextDependentValues)
@@ -118,22 +117,23 @@ TEST(Cvp, PredictionKindIsValue)
     EXPECT_EQ(cp.pred.component, pipe::ComponentId::CVP);
 }
 
-TEST(Cvp, AbandonDropsSnapshot)
+TEST(Cvp, TrainWithoutFetchKeysIsNoOp)
 {
+    // An outcome whose probe is unknown carries no fetch-time keys:
+    // CVP cannot tell which context to train, so it trains nothing.
     Cvp c(768, 1);
     LoadProbe p;
     p.pc = 0x500;
     p.token = nextToken++;
-    c.lookup(p);
-    c.abandon(p.token);
-    // Training with the same token now has no snapshot: no effect,
-    // no crash.
     LoadOutcome o;
     o.pc = 0x500;
     o.token = p.token;
     o.value = 1;
-    c.train(o);
-    SUCCEED();
+    for (int i = 0; i < 200; ++i)
+        c.train(o, ComponentPrediction{});
+    const auto cp = c.lookup(p);
+    EXPECT_TRUE(cp.keyed);
+    EXPECT_FALSE(cp.confident);
 }
 
 TEST(Cvp, EntriesSplitAcrossThreeTables)

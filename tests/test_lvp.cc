@@ -38,7 +38,7 @@ void
 trainN(Lvp &l, Addr pc, Value v, int n)
 {
     for (int i = 0; i < n; ++i)
-        l.train(outcomeOf(pc, v));
+        l.train(outcomeOf(pc, v), {});
 }
 
 } // anonymous namespace
@@ -75,7 +75,7 @@ TEST(Lvp, ValueChangeResetsConfidence)
     Lvp l(256, 1);
     trainN(l, 0x100, 42, 400);
     ASSERT_TRUE(l.lookup(probeOf(0x100)).confident);
-    l.train(outcomeOf(0x100, 43));
+    l.train(outcomeOf(0x100, 43), {});
     EXPECT_FALSE(l.lookup(probeOf(0x100)).confident);
     // And the new value must be installed for retraining.
     trainN(l, 0x100, 43, 400);

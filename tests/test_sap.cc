@@ -39,7 +39,7 @@ void
 trainStride(Sap &s, Addr pc, Addr base, std::int64_t stride, int n)
 {
     for (int i = 0; i < n; ++i)
-        s.train(outcomeOf(pc, Addr(std::int64_t(base) + i * stride)));
+        s.train(outcomeOf(pc, Addr(std::int64_t(base) + i * stride)), {});
 }
 
 } // anonymous namespace
@@ -98,7 +98,7 @@ TEST(Sap, BrokenStrideResetsConfidence)
     Sap s(256, 1);
     trainStride(s, 0x100, 0x10000, 64, 100);
     ASSERT_TRUE(s.lookup(probeOf(0x100)).confident);
-    s.train(outcomeOf(0x100, 0x99999)); // stride break
+    s.train(outcomeOf(0x100, 0x99999), {}); // stride break
     EXPECT_FALSE(s.lookup(probeOf(0x100)).confident);
 }
 
@@ -151,7 +151,7 @@ TEST(Sap, SizeFieldTracksLoadWidth)
 {
     Sap s(256, 1);
     for (int i = 0; i < 100; ++i)
-        s.train(outcomeOf(0x100, 0x10000 + i * 4, 4));
+        s.train(outcomeOf(0x100, 0x10000 + i * 4, 4), {});
     const auto cp = s.lookup(probeOf(0x100));
     ASSERT_TRUE(cp.confident);
 }

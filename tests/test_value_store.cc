@@ -93,7 +93,7 @@ TEST(LvpShared, PredictsThroughSharedPool)
     o.value = 42;
     for (int i = 0; i < 400; ++i) {
         o.token = i + 1;
-        l.train(o);
+        l.train(o, {});
     }
     pipe::LoadProbe p;
     p.pc = 0x100;
@@ -125,7 +125,7 @@ TEST(LvpShared, PoolRecyclingDropsPredictionSafely)
     o.value = 42;
     for (int i = 0; i < 400; ++i) {
         o.token = i + 1;
-        l.train(o);
+        l.train(o, {});
     }
     ASSERT_TRUE(l.lookup({0x100, 9998, 0}).confident);
     // Thrash the tiny pool from other values; 42's slot recycles.
@@ -134,7 +134,7 @@ TEST(LvpShared, PoolRecyclingDropsPredictionSafely)
     for (int i = 0; i < 64; ++i) {
         other.value = 1000 + i;
         other.token = 10000 + i;
-        l.train(other);
+        l.train(other, {});
     }
     // The stale entry must fail safe: no prediction, no wrong value.
     const auto cp = l.lookup({0x100, 9999, 0});

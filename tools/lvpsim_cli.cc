@@ -38,6 +38,10 @@ using namespace lvpsim;
 namespace
 {
 
+/// Largest --entries budget: 256x the largest any figure sweeps
+/// (4096), and far below what would exhaust memory allocating tables.
+constexpr std::uint64_t kMaxEntries = std::uint64_t(1) << 20;
+
 struct CliOptions
 {
     std::string workload = "memset_loop";
@@ -76,7 +80,8 @@ usage()
         "  --workload <name>      workload to run\n"
         "  --predictor <p>        none|composite|lvp|sap|cvp|cap|\n"
         "                         eves8k|eves32k|evesinf\n"
-        "  --entries <n>          total predictor entries\n"
+        "  --entries <n>          total predictor entries "
+        "(at most 1048576)\n"
         "  --instrs <n>           instructions (default "
         "LVPSIM_INSTRS or 150000)\n"
         "  --warmup <n>           warmup instructions before "
@@ -154,8 +159,15 @@ parse(int argc, char **argv, CliOptions &o)
             o.workload = next("--workload");
         else if (a == "--predictor")
             o.predictor = next("--predictor");
-        else if (a == "--entries")
-            o.entries = std::size_t(count("--entries"));
+        else if (a == "--entries") {
+            const std::uint64_t n = count("--entries");
+            if (n > kMaxEntries) {
+                std::cerr << "bad --entries value '" << n
+                          << "' (limit is " << kMaxEntries << ")\n";
+                std::exit(2);
+            }
+            o.entries = std::size_t(n);
+        }
         else if (a == "--instrs")
             o.instrs = std::size_t(
                 sim::parsePositiveCountOrExit("--instrs", next("--instrs")));
